@@ -27,6 +27,7 @@
 // work, they never cancel it; a task already running is never interrupted.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -74,7 +75,10 @@ struct SubmitOptions {
 /// "deadlines order work but nothing records how late a batch actually
 /// ran"). A task misses when it finishes after its submission's deadline;
 /// lateness is completion minus deadline. Deadline-free tasks only bump
-/// `completed`. One consistent snapshot per Executor::stats() call.
+/// `completed`. Each Executor::stats() call returns one consistent
+/// snapshot: every completion it counts carries that task's miss and
+/// lateness, so `deadline_misses <= completed` and miss_rate() stays in
+/// [0, 1].
 struct ExecutorStats {
   std::uint64_t completed = 0;        ///< tasks run to completion
   std::uint64_t deadline_misses = 0;  ///< tasks finished past their deadline
@@ -90,43 +94,37 @@ struct ExecutorStats {
 
 namespace detail {
 
-/// Lock-free accumulator behind Executor::stats(); shared by the serial and
-/// pool executors so telemetry is uniform across execution policies.
+/// Accumulator behind Executor::stats(); shared by the serial and pool
+/// executors so telemetry is uniform across execution policies. One mutex
+/// guards the whole ExecutorStats, so a task's completion and its miss land
+/// together and a snapshot never sees one without the other (separate
+/// counters let a reader count a completion before its miss). The lock is
+/// taken once per task, which costs far less than any task.
 class ExecutorStatsRecorder {
  public:
   /// Records one task completion against the (absolute) deadline of its
   /// submission; nullopt marks deadline-free work.
   void record(const std::optional<std::chrono::steady_clock::time_point>& deadline) noexcept {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (!deadline) return;
+    // Completion time is read before the lock so waiting for it never adds
+    // lateness.
     const auto now = std::chrono::steady_clock::now();
-    if (now <= *deadline) return;
-    const std::int64_t late =
-        std::chrono::duration_cast<std::chrono::microseconds>(now - *deadline).count();
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    total_lateness_us_.fetch_add(static_cast<std::uint64_t>(late), std::memory_order_relaxed);
-    std::int64_t prev = max_lateness_us_.load(std::memory_order_relaxed);
-    while (prev < late &&
-           !max_lateness_us_.compare_exchange_weak(prev, late, std::memory_order_relaxed)) {
-    }
+    const std::lock_guard lock(mutex_);
+    ++stats_.completed;
+    if (!deadline || now <= *deadline) return;
+    const auto late = std::chrono::duration_cast<std::chrono::microseconds>(now - *deadline);
+    ++stats_.deadline_misses;
+    stats_.total_lateness += late;
+    stats_.max_lateness = std::max(stats_.max_lateness, late);
   }
 
   [[nodiscard]] ExecutorStats snapshot() const noexcept {
-    ExecutorStats stats;
-    stats.completed = completed_.load(std::memory_order_relaxed);
-    stats.deadline_misses = misses_.load(std::memory_order_relaxed);
-    stats.max_lateness =
-        std::chrono::microseconds{max_lateness_us_.load(std::memory_order_relaxed)};
-    stats.total_lateness = std::chrono::microseconds{
-        static_cast<std::int64_t>(total_lateness_us_.load(std::memory_order_relaxed))};
-    return stats;
+    const std::lock_guard lock(mutex_);
+    return stats_;
   }
 
  private:
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::int64_t> max_lateness_us_{0};
-  std::atomic<std::uint64_t> total_lateness_us_{0};
+  mutable std::mutex mutex_;
+  ExecutorStats stats_;
 };
 
 }  // namespace detail

@@ -438,6 +438,34 @@ TEST(ExecutorStats, SessionExposesItsExecutorsTelemetry) {
   EXPECT_GE(stats.total_lateness, stats.max_lateness);
 }
 
+TEST(ExecutorStats, SnapshotNeverCountsMoreMissesThanCompletions) {
+  // Four workers complete zero-deadline tasks while this thread keeps
+  // reading stats(): no snapshot may count a miss whose completion it has
+  // not counted (miss_rate() stays in [0, 1]), and once every task has
+  // completed, every one of them is a miss.
+  constexpr std::size_t kTasks = 1000;
+  api::ThreadPoolExecutor pool{4};
+  // Each body blocks for at least 1 us, so it always finishes strictly past
+  // its 0 ms deadline.
+  std::vector<std::function<void()>> tasks(
+      kTasks, [] { std::this_thread::sleep_for(std::chrono::microseconds{1}); });
+  pool.submit(std::move(tasks), {.deadline = std::chrono::milliseconds{0}});
+
+  std::size_t torn = 0;
+  api::ExecutorStats stats = pool.stats();
+  for (;;) {
+    if (stats.deadline_misses > stats.completed) ++torn;
+    if (stats.completed >= kTasks) break;
+    stats = pool.stats();
+  }
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(stats.completed, kTasks);
+  EXPECT_EQ(stats.deadline_misses, kTasks);
+  EXPECT_EQ(stats.miss_rate(), 1.0);
+  EXPECT_GT(stats.max_lateness.count(), 0);
+  EXPECT_GE(stats.total_lateness, stats.max_lateness);
+}
+
 TEST(ParallelBatch, ConcurrentBatchesFromSeveralThreadsInterleaveSafely) {
   Session pooled{api::make_executor(4)};
   const auto loaded = pooled.load_builtin("fig1");
