@@ -37,6 +37,14 @@ api::ModelId must_load(api::Session& session, api::LoadBuiltinRequest request) {
   return loaded.value().id;
 }
 
+/// A typed simulate request in the envelope the batch surface takes.
+api::AnyRequest envelope(const api::SimulateRequest& request, api::SubmitOptions options = {}) {
+  api::AnyRequest wrapped;
+  wrapped.payload = request;
+  wrapped.options = options;
+  return wrapped;
+}
+
 void print_report() {
   std::cout << "== API: session facade overhead and batch baseline ==\n\n";
   api::Session session;
@@ -68,15 +76,15 @@ BENCHMARK(BM_SessionSimulate);
 void BM_SessionSimulateBatch(benchmark::State& state) {
   api::Session session;
   const api::ModelId model = must_load(session, "fig1");
-  std::vector<api::SimulateRequest> batch;
+  std::vector<api::AnyRequest> batch;
   for (std::int64_t seed = 0; seed < state.range(0); ++seed) {
     api::SimulateRequest request{.model = model};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = static_cast<std::uint64_t>(seed + 1);
-    batch.push_back(request);
+    batch.push_back(envelope(request));
   }
   for (auto _ : state) {
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -91,16 +99,16 @@ void BM_BatchThroughput(benchmark::State& state) {
   constexpr std::int64_t kRequests = 64;
   api::Session session{api::make_executor(static_cast<std::size_t>(state.range(0)))};
   const api::ModelId model = must_load(session, "synthetic");
-  std::vector<api::SimulateRequest> batch;
+  std::vector<api::AnyRequest> batch;
   batch.reserve(kRequests);
   for (std::int64_t seed = 1; seed <= kRequests; ++seed) {
     api::SimulateRequest request{.model = model};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = static_cast<std::uint64_t>(seed);
-    batch.push_back(request);
+    batch.push_back(envelope(request));
   }
   for (auto _ : state) {
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * kRequests);
@@ -111,18 +119,18 @@ BENCHMARK(BM_BatchThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 /// A deliberately skewed batch: slot 0 is a small fig1 run, the remaining
 /// slots are much heavier synthetic scenarios — the shape where
 /// latency-to-first-result and self-scheduling matter.
-std::vector<api::SimulateRequest> make_skewed_batch(api::Session& session, std::size_t heavy) {
+std::vector<api::AnyRequest> make_skewed_batch(api::Session& session, std::size_t heavy) {
   const api::ModelId small = must_load(session, "fig1");
   const api::ModelId big = must_load(
       session, api::LoadBuiltinRequest{.name = "synthetic",
                                        .options = models::SyntheticSpec{.variants = 12}});
-  std::vector<api::SimulateRequest> batch;
-  batch.push_back({.model = small});
+  std::vector<api::AnyRequest> batch;
+  batch.push_back(envelope({.model = small}));
   for (std::size_t i = 0; i < heavy; ++i) {
     api::SimulateRequest request{.model = big};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = i + 1;
-    batch.push_back(request);
+    batch.push_back(envelope(request));
   }
   return batch;
 }
@@ -134,7 +142,7 @@ void BM_FirstSlotLatencyStreaming(benchmark::State& state) {
   const auto batch = make_skewed_batch(session, 7);
   for (auto _ : state) {
     const auto started = std::chrono::steady_clock::now();
-    auto handle = session.submit_simulate_batch(batch);
+    auto handle = session.submit(batch);
     handle.slot(0).wait();
     state.SetIterationTime(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - started)
@@ -152,7 +160,7 @@ void BM_FirstSlotLatencyBlocking(benchmark::State& state) {
   const auto batch = make_skewed_batch(session, 7);
   for (auto _ : state) {
     const auto started = std::chrono::steady_clock::now();
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.front().ok());
     state.SetIterationTime(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - started)
@@ -168,7 +176,7 @@ void BM_SkewedBatch(benchmark::State& state) {
   api::Session session{api::make_executor(static_cast<std::size_t>(state.range(0)))};
   const auto batch = make_skewed_batch(session, 7);
   for (auto _ : state) {
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
@@ -206,16 +214,16 @@ void BM_ColdVsWarmSweep(benchmark::State& state) {
   api::Session session;
   if (warm) session.enable_cache({.capacity = 4096});
   const api::ModelId model = must_load(session, "synthetic");
-  std::vector<api::SimulateRequest> sweep;
+  std::vector<api::AnyRequest> sweep;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     api::SimulateRequest request{.model = model};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = seed;
-    sweep.push_back(request);
+    sweep.push_back(envelope(request));
   }
-  if (warm) benchmark::DoNotOptimize(session.simulate_batch(sweep).size());  // prefill
+  if (warm) benchmark::DoNotOptimize(session.call_batch(sweep).size());  // prefill
   for (auto _ : state) {
-    const auto results = session.simulate_batch(sweep);
+    const auto results = session.call_batch(sweep);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sweep.size()));
@@ -235,14 +243,14 @@ void BM_UrgentSlotUnderLoad(benchmark::State& state) {
   const api::ModelId small = must_load(session, "fig1");
   const auto background = make_skewed_batch(session, 12);
   for (auto _ : state) {
-    auto backlog = session.submit_simulate_batch(background);
+    auto backlog = session.submit(background);
     const auto started = std::chrono::steady_clock::now();
     // A 1 ms deadline on the urgent slot arms the executor's deadline-miss
     // telemetry: at normal priority the slot queues behind the backlog and
     // blows the deadline, at high priority it overtakes and meets it.
-    auto urgent = session.submit_simulate_batch(
-        {{.model = small}}, {},
-        {.priority = priority, .deadline = std::chrono::milliseconds{1}});
+    auto urgent = session.submit(
+        {envelope({.model = small},
+                  {.priority = priority, .deadline = std::chrono::milliseconds{1}})});
     urgent.slot(0).wait();
     state.SetIterationTime(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - started)

@@ -1,8 +1,11 @@
 #include "api/admission.hpp"
 
+#include <utility>
+
 namespace spivar::api {
 
-AdmissionController::AdmissionController(AdmissionConfig config) : config_(config) {
+AdmissionController::AdmissionController(AdmissionConfig config, Clock clock)
+    : config_(config), clock_(std::move(clock)) {
   if (config_.max_miss_rate < 0.0) config_.max_miss_rate = 0.0;
   if (config_.window <= std::chrono::milliseconds{0}) {
     config_.window = std::chrono::milliseconds{1};
@@ -21,7 +24,7 @@ AdmissionDecision AdmissionController::admit(const ExecutorStats& stats) {
     ++admitted_;
     return decision;
   }
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = clock_();
   std::lock_guard lock{mutex_};
   if (!primed_ || now - window_start_ >= config_.window) {
     // Window rollover: the deltas accumulated so far become history and

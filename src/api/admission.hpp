@@ -22,6 +22,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 
 #include "api/executor.hpp"
@@ -55,7 +56,12 @@ struct AdmissionDecision {
 
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionConfig config = {});
+  /// The time source behind window rollover; tests inject a stepped clock
+  /// so window expiry never depends on scheduler timing.
+  using Clock = std::function<std::chrono::steady_clock::time_point()>;
+
+  explicit AdmissionController(AdmissionConfig config = {},
+                               Clock clock = &std::chrono::steady_clock::now);
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -73,6 +79,7 @@ class AdmissionController {
 
  private:
   AdmissionConfig config_;
+  Clock clock_;
 
   mutable std::mutex mutex_;
   /// Cumulative counters at the start of the current window.

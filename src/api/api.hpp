@@ -71,8 +71,8 @@
 //     resolve() (spec -> handle through the target cache),
 //     validate/stats/dot/write_text (variant-aware `variants v1` spit
 //     round-trip), the per-kind analyze/simulate/explore/pareto/compare,
-//     blocking batches (simulate_batch/explore_batch), the streaming
-//     submit_* surface, and executor_stats() for deadline telemetry.
+//     the AnyRequest envelope — call(), blocking call_batch(), streaming
+//     submit() — and executor_stats() for deadline telemetry.
 //   * Executor (executor.hpp) — SerialExecutor / self-scheduling
 //     ThreadPoolExecutor / make_executor(jobs); run() participates in its
 //     own batch (nested dispatch is deadlock-free), submit() streams, both
@@ -80,8 +80,9 @@
 //     EDF within a band), and stats() reports ExecutorStats{completed,
 //     deadline_misses, max_lateness, total_lateness} recorded per task at
 //     completion.
-//   * SpecCache (spec_cache.hpp) — tombstone-aware spec → handle
-//     memoization for front ends chaining commands over one store.
+//   * SpecCache (spec_cache.hpp) — thread-safe, tombstone-aware spec →
+//     handle memoization: the session's envelope target resolution and
+//     the CLI's `--then` chains over one store.
 //   * BatchHandle (batch.hpp) — per-slot shared_futures, on_slot streaming
 //     callback, wait(), cooperative cancel() (diag::kCancelled); slot tasks
 //     capture store snapshots, so handles survive unloads and session moves.

@@ -1,15 +1,14 @@
 // Streaming batch evaluation — the async face of the session's batch
 // surface.
 //
-// submit_simulate_batch / submit_explore_batch / submit_compare return a
-// BatchHandle<Response>: one future per slot, an optional on_slot callback
-// streamed as results land, a blocking wait(), and a cooperative cancel().
-// Slot tasks capture immutable ModelStore snapshots (never the session), so
-// a handle stays valid across session moves, model unloads, and even the
-// session's destruction.
+// Session::submit returns a BatchHandle<AnyResponse>: one future per slot,
+// an optional on_slot callback streamed as results land, a blocking wait(),
+// and a cooperative cancel(). Slot tasks capture immutable ModelStore
+// snapshots (never the session), so a handle stays valid across session
+// moves, model unloads, and even the session's destruction.
 //
-//   auto handle = session.submit_simulate_batch(requests,
-//       [](std::size_t slot, const api::Result<api::SimulateResponse>& r) {
+//   auto handle = session.submit(std::move(envelopes),
+//       [](std::size_t slot, const api::Result<api::AnyResponse>& r) {
 //         std::cout << "slot " << slot << (r.ok() ? " ok" : " failed") << "\n";
 //       });
 //   handle.slot(0).wait();             // first result, before the batch ends
@@ -17,7 +16,7 @@
 //
 // Ordering contract per slot: the result is computed, on_slot fires on the
 // evaluating thread, then the slot's future becomes ready. Slot results are
-// bit-identical to the blocking batch entry points (and therefore to serial
+// bit-identical to the blocking call_batch (and therefore to serial
 // evaluation) regardless of executor or cancellation-free interleaving.
 #pragma once
 
@@ -112,6 +111,10 @@ template <typename Response>
 class BatchHandle {
  public:
   BatchHandle() = default;
+  /// What Session::submit returns; `executor` keeps the pool alive.
+  BatchHandle(std::shared_ptr<detail::BatchState<Response>> state,
+              std::shared_ptr<Executor> executor)
+      : state_(std::move(state)), executor_(std::move(executor)) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return state_ ? state_->core.total() : 0; }
 
@@ -126,10 +129,10 @@ class BatchHandle {
   }
 
   /// Blocks until every slot has landed and returns the results in slot
-  /// order — bit-identical to the blocking batch entry points. Callable any
-  /// number of times. wait() does not execute tasks itself, so call it from
-  /// a thread outside the session's pool (the blocking batch entry points,
-  /// which do participate, are the safe choice inside pool tasks).
+  /// order — bit-identical to Session::call_batch. Callable any number of
+  /// times. wait() does not execute tasks itself, so call it from a thread
+  /// outside the session's pool (call_batch with uniform options, which
+  /// participates, is the safe choice inside pool tasks).
   [[nodiscard]] std::vector<Result<Response>> wait() const {
     std::vector<Result<Response>> results;
     if (!state_) return results;
@@ -151,21 +154,8 @@ class BatchHandle {
   }
 
  private:
-  template <typename R>
-  friend BatchHandle<R> make_batch_handle(std::shared_ptr<detail::BatchState<R>>,
-                                          std::shared_ptr<Executor>);
-
   std::shared_ptr<detail::BatchState<Response>> state_;
   std::shared_ptr<Executor> executor_;  ///< keeps the pool alive past the session
 };
-
-template <typename R>
-[[nodiscard]] BatchHandle<R> make_batch_handle(std::shared_ptr<detail::BatchState<R>> state,
-                                               std::shared_ptr<Executor> executor) {
-  BatchHandle<R> handle;
-  handle.state_ = std::move(state);
-  handle.executor_ = std::move(executor);
-  return handle;
-}
 
 }  // namespace spivar::api

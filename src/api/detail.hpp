@@ -65,18 +65,9 @@ inline std::string empty_problem_message(const std::string& model_name) {
 //
 // The whole pipeline evaluates against immutable StoreEntry snapshots, never
 // against a Session: batch tasks capture a snapshot (keeping the model alive
-// across unloads and session moves) and call these.
-
-[[nodiscard]] Result<SimulateResponse> eval_simulate(const StoreEntry& entry,
-                                                     const SimulateRequest& request);
-[[nodiscard]] Result<ExploreResponse> eval_explore(const StoreEntry& entry,
-                                                   const ExploreRequest& request);
-[[nodiscard]] Result<ParetoResponse> eval_pareto(const StoreEntry& entry,
-                                                 const ParetoRequest& request);
-[[nodiscard]] Result<AnalyzeResponse> eval_analyze(const StoreEntry& entry,
-                                                   const AnalyzeRequest& request);
-/// Compare fans its strategy jobs across `executor` (nested dispatch is safe
-/// on the self-scheduling pool).
+// across unloads and session moves). The other kinds evaluate in
+// session.cpp; compare fans its strategy jobs across `executor` (nested
+// dispatch is safe on the self-scheduling pool).
 [[nodiscard]] Result<CompareResponse> eval_compare(const StoreEntry& entry,
                                                    const CompareRequest& request,
                                                    Executor& executor);

@@ -1,8 +1,8 @@
 // Execution policy for the session's batch surface.
 //
-// Every batch entry point (simulate_batch, explore_batch, compare and the
-// submit_* streaming variants) splits its work into independent tasks and
-// hands them to the session's Executor. Tasks are deterministic by seed and
+// Every batch entry point (call_batch, submit, and compare's strategy
+// fan-out) splits its work into independent tasks and hands them to the
+// session's Executor. Tasks are deterministic by seed and
 // write to disjoint result slots, so the outcome is bit-identical whether
 // they run serially or across a pool — parallelism is purely a wall-clock
 // decision, asserted by the tests.

@@ -1,6 +1,5 @@
 #include "api/session.hpp"
 
-#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <functional>
@@ -25,7 +24,9 @@
 
 namespace spivar::api {
 
+using detail::empty_problem_message;
 using detail::guarded;
+using detail::problem_has_elements;
 using detail::unknown_model;
 
 namespace {
@@ -38,15 +39,11 @@ std::vector<std::string> process_names(const spi::Graph& graph,
   return names;
 }
 
-}  // namespace
-
 // --- snapshot evaluation -----------------------------------------------------
 //
-// Everything below detail:: evaluates one immutable StoreEntry. These are
-// the functions batch tasks capture (together with their snapshot), so no
-// evaluation path ever touches Session state.
-
-namespace detail {
+// Each eval_* evaluates one immutable StoreEntry — what batch tasks capture
+// (together with their snapshot), so no evaluation path ever touches
+// Session state.
 
 Result<SimulateResponse> eval_simulate(const StoreEntry& entry, const SimulateRequest& request) {
   return guarded<SimulateResponse>([&]() -> Result<SimulateResponse> {
@@ -151,7 +148,7 @@ Result<AnalyzeResponse> eval_analyze(const StoreEntry& entry, const AnalyzeReque
   });
 }
 
-}  // namespace detail
+}  // namespace
 
 // --- construction ------------------------------------------------------------
 
@@ -163,7 +160,7 @@ Session::Session(std::shared_ptr<ModelStore> store, std::shared_ptr<Executor> ex
     : store_(std::move(store)), executor_(std::move(executor)) {
   if (!store_) store_ = std::make_shared<ModelStore>();
   if (!executor_) executor_ = std::make_shared<SerialExecutor>();
-  targets_ = std::make_shared<TargetCache>(store_);
+  targets_ = std::make_shared<SpecCache>(store_);
 }
 
 // --- tenant binding ----------------------------------------------------------
@@ -175,8 +172,7 @@ void Session::bind_tenant(std::shared_ptr<StoreView> view,
   tenant_ = view_ ? view_->tenant() : TenantContext{};
   // Envelope targets must load under the tenant too — a spec resolved by a
   // bound session issues a tenant-owned, quota-checked, salted handle.
-  std::lock_guard lock{targets_->mutex};
-  targets_->specs.bind_view(view_);
+  targets_->bind_view(view_);
 }
 
 // --- loading (forwarded to the store, via the tenant view when bound) --------
@@ -211,13 +207,11 @@ UnloadStatus Session::unload(ModelId id) {
 
 Result<ModelInfo> Session::resolve(const std::string& spec,
                                    const std::vector<std::string>& options) {
-  std::lock_guard lock{targets_->mutex};
-  return targets_->specs.resolve(spec, options);
+  return targets_->resolve(spec, options);
 }
 
 std::vector<ModelId> Session::resolved_handles(const std::string& spec) const {
-  std::lock_guard lock{targets_->mutex};
-  return targets_->specs.handles(spec);
+  return targets_->handles(spec);
 }
 
 // --- result caching ----------------------------------------------------------
@@ -288,40 +282,58 @@ Result<std::string> Session::write_text(ModelId id) const {
 
 namespace {
 
-/// The one snapshot-and-cache path behind every evaluation entry point —
-/// per-kind endpoint, envelope call, and every batch slot all converge
-/// here, which is what makes their results (and cache keys) identical.
-template <typename Response, typename Request, typename Eval>
-Result<Response> call_one(const ModelStore& store, const Request& request, Eval&& eval) {
+/// One typed request evaluated against a snapshot through the result-cache
+/// seam — the body behind every evaluation entry point: per-kind endpoint,
+/// envelope call, and every batch slot all converge here, which is what
+/// makes their results (and cache keys) identical. `executor` powers
+/// compare's nested strategy fan-out.
+template <typename Request>
+auto evaluate(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
+              const Request& request, Executor& executor) {
+  if constexpr (std::is_same_v<Request, CompareRequest>) {
+    return detail::with_cache<CompareResponse>(
+        cache, entry, request, [&executor](const StoreEntry& e, const CompareRequest& r) {
+          return detail::eval_compare(e, r, executor);
+        });
+  } else if constexpr (std::is_same_v<Request, SimulateRequest>) {
+    return detail::with_cache<SimulateResponse>(cache, entry, request, &eval_simulate);
+  } else if constexpr (std::is_same_v<Request, AnalyzeRequest>) {
+    return detail::with_cache<AnalyzeResponse>(cache, entry, request, &eval_analyze);
+  } else if constexpr (std::is_same_v<Request, ExploreRequest>) {
+    return detail::with_cache<ExploreResponse>(cache, entry, request, &eval_explore);
+  } else {
+    static_assert(std::is_same_v<Request, ParetoRequest>);
+    return detail::with_cache<ParetoResponse>(cache, entry, request, &eval_pareto);
+  }
+}
+
+template <typename Response, typename Request>
+Result<Response> call_one(const ModelStore& store, const Request& request, Executor& executor) {
   const ModelStore::Snapshot snapshot = store.find(request.model);
   if (!snapshot) return unknown_model<Response>(request.model);
-  return detail::with_cache<Response>(store.cache(), *snapshot, request,
-                                      std::forward<Eval>(eval));
+  return evaluate(store.cache(), *snapshot, request, executor);
 }
 
 }  // namespace
 
 Result<AnalyzeResponse> Session::analyze(const AnalyzeRequest& request) const {
-  return call_one<AnalyzeResponse>(*store_, request, &detail::eval_analyze);
+  return call_one<AnalyzeResponse>(*store_, request, *executor_);
 }
 
 Result<SimulateResponse> Session::simulate(const SimulateRequest& request) const {
-  return call_one<SimulateResponse>(*store_, request, &detail::eval_simulate);
+  return call_one<SimulateResponse>(*store_, request, *executor_);
 }
 
 Result<ExploreResponse> Session::explore(const ExploreRequest& request) const {
-  return call_one<ExploreResponse>(*store_, request, &detail::eval_explore);
+  return call_one<ExploreResponse>(*store_, request, *executor_);
 }
 
 Result<ParetoResponse> Session::pareto(const ParetoRequest& request) const {
-  return call_one<ParetoResponse>(*store_, request, &detail::eval_pareto);
+  return call_one<ParetoResponse>(*store_, request, *executor_);
 }
 
 Result<CompareResponse> Session::compare(const CompareRequest& request) const {
-  return call_one<CompareResponse>(*store_, request,
-                                   [this](const StoreEntry& entry, const CompareRequest& r) {
-                                     return detail::eval_compare(entry, r, *executor_);
-                                   });
+  return call_one<CompareResponse>(*store_, request, *executor_);
 }
 
 // --- the unified envelope (v5) ----------------------------------------------
@@ -337,35 +349,12 @@ Result<AnyResponse> to_any(Result<Response> result) {
   return Result<AnyResponse>::success(AnyResponse{std::move(result).value()}, std::move(notes));
 }
 
-/// Evaluates one resolved payload against a captured snapshot through the
-/// result-cache seam — the envelope twin of the submit_batch task body.
-/// `executor` powers compare's nested strategy fan-out (raw pointer for the
-/// same lifetime reason as Session::submit_compare).
+/// Evaluates one resolved payload against a captured snapshot — the body
+/// of every envelope slot. Raw executor pointer: see Session::submit.
 Result<AnyResponse> eval_any(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
                              const RequestPayload& payload, Executor* executor) {
   return std::visit(
-      [&](const auto& request) -> Result<AnyResponse> {
-        using Request = std::decay_t<decltype(request)>;
-        if constexpr (std::is_same_v<Request, CompareRequest>) {
-          return to_any(detail::with_cache<CompareResponse>(
-              cache, entry, request, [executor](const StoreEntry& e, const CompareRequest& r) {
-                return detail::eval_compare(e, r, *executor);
-              }));
-        } else if constexpr (std::is_same_v<Request, SimulateRequest>) {
-          return to_any(
-              detail::with_cache<SimulateResponse>(cache, entry, request, &detail::eval_simulate));
-        } else if constexpr (std::is_same_v<Request, AnalyzeRequest>) {
-          return to_any(
-              detail::with_cache<AnalyzeResponse>(cache, entry, request, &detail::eval_analyze));
-        } else if constexpr (std::is_same_v<Request, ExploreRequest>) {
-          return to_any(
-              detail::with_cache<ExploreResponse>(cache, entry, request, &detail::eval_explore));
-        } else {
-          static_assert(std::is_same_v<Request, ParetoRequest>);
-          return to_any(
-              detail::with_cache<ParetoResponse>(cache, entry, request, &detail::eval_pareto));
-        }
-      },
+      [&](const auto& request) { return to_any(evaluate(cache, entry, request, *executor)); },
       payload);
 }
 
@@ -384,8 +373,7 @@ Result<ModelId> Session::resolve_target(const AnyRequest& request) const {
     if (view_ && !view_->owns(id)) return unknown_model<ModelId>(id);
     return Result<ModelId>::success(id);
   }
-  std::lock_guard lock{targets_->mutex};
-  Result<ModelInfo> resolved = targets_->specs.resolve(request.target, request.target_options);
+  Result<ModelInfo> resolved = targets_->resolve(request.target, request.target_options);
   if (!resolved.ok()) return Result<ModelId>::failure(resolved.diagnostics());
   return Result<ModelId>::success(resolved.value().id);
 }
@@ -427,153 +415,28 @@ Result<AnyResponse> Session::call(const AnyRequest& request) const {
   return eval_any(store_->cache(), *snapshot, payload, executor_.get());
 }
 
-// --- batch surface ----------------------------------------------------------
-
-namespace {
-
-/// Shared submit path of the streaming surface. Every request's snapshot is
-/// resolved *now* — the batch evaluates the store as of submission, so a
-/// concurrent unload (or session move/destruction) cannot touch a slot.
-/// Tasks capture only the batch state, the snapshot, the result cache (if
-/// the store has one) and `eval`; cancelled slots never touch the cache.
-template <typename Response, typename Request, typename Eval>
-BatchHandle<Response> submit_batch(const ModelStore& store, std::shared_ptr<Executor> executor,
-                                   std::vector<Request> requests,
-                                   SlotCallback<Response> on_slot, SubmitOptions options,
-                                   Eval eval) {
-  auto state =
-      std::make_shared<detail::BatchState<Response>>(requests.size(), std::move(on_slot));
-  const std::shared_ptr<ResultCache> cache = store.cache();
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    tasks.push_back([state, cache, snapshot = store.find(requests[i].model),
-                     request = std::move(requests[i]), i, eval] {
-      Result<Response> result = [&]() -> Result<Response> {
-        if (state->core.cancel_requested()) {
-          return Result<Response>::failure(detail::cancelled_diagnostics(i));
-        }
-        if (!snapshot) return unknown_model<Response>(request.model);
-        return detail::with_cache<Response>(cache, *snapshot, request, eval);
-      }();
-      state->deliver(i, std::move(result));
-    });
-  }
-  executor->submit(std::move(tasks), options);
-  return make_batch_handle<Response>(std::move(state), std::move(executor));
-}
-
-}  // namespace
-
-BatchHandle<SimulateResponse> Session::submit_simulate_batch(
-    std::vector<SimulateRequest> requests, SlotCallback<SimulateResponse> on_slot,
-    SubmitOptions options) const {
-  return submit_batch<SimulateResponse>(*store_, executor_, std::move(requests),
-                                        std::move(on_slot), options, &detail::eval_simulate);
-}
-
-BatchHandle<ExploreResponse> Session::submit_explore_batch(
-    std::vector<ExploreRequest> requests, SlotCallback<ExploreResponse> on_slot,
-    SubmitOptions options) const {
-  return submit_batch<ExploreResponse>(*store_, executor_, std::move(requests),
-                                       std::move(on_slot), options, &detail::eval_explore);
-}
-
-BatchHandle<CompareResponse> Session::submit_compare(std::vector<CompareRequest> requests,
-                                                     SlotCallback<CompareResponse> on_slot,
-                                                     SubmitOptions options) const {
-  // Each compare slot fans its strategy jobs across the same executor; the
-  // self-scheduling pool lets the slot's thread help drain its own jobs, so
-  // nesting cannot deadlock. Deliberately a raw pointer: the executor
-  // outlives every queued task (the handle keeps it alive, and the pool
-  // destructor drains its queue before joining), while an owning copy here
-  // could make a *worker* drop the last reference and self-join the pool.
-  Executor* executor = executor_.get();
-  return submit_batch<CompareResponse>(
-      *store_, executor_, std::move(requests), std::move(on_slot), options,
-      [executor](const StoreEntry& entry, const CompareRequest& request) {
-        return detail::eval_compare(entry, request, *executor);
-      });
-}
-
-namespace {
-
-/// Blocking twin of submit_batch with the same snapshot-at-submit
-/// semantics, built on Executor::run for two reasons the streaming path
-/// can't provide: the calling thread participates in its own batch (so a
-/// blocking batch issued from inside a pool task cannot deadlock), and
-/// results move straight out of their slots — no promise/future machinery,
-/// no copies.
-template <typename Response, typename Request, typename Eval>
-std::vector<Result<Response>> run_batch(const ModelStore& store, Executor& executor,
-                                        const std::vector<Request>& requests, Eval eval) {
-  const std::shared_ptr<ResultCache> cache = store.cache();
-  std::vector<std::optional<Result<Response>>> slots(requests.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    tasks.push_back(
-        [&slots, &requests, &cache, snapshot = store.find(requests[i].model), &eval, i] {
-          slots[i] = snapshot
-                         ? detail::with_cache<Response>(cache, *snapshot, requests[i], eval)
-                         : unknown_model<Response>(requests[i].model);
-        });
-  }
-  executor.run(std::move(tasks));
-
-  std::vector<Result<Response>> results;
-  results.reserve(slots.size());
-  for (auto& slot : slots) results.push_back(std::move(*slot));
-  return results;
-}
-
-}  // namespace
-
-std::vector<Result<SimulateResponse>> Session::simulate_batch(
-    const std::vector<SimulateRequest>& requests) const {
-  return run_batch<SimulateResponse>(*store_, *executor_, requests, &detail::eval_simulate);
-}
-
-std::vector<Result<ExploreResponse>> Session::explore_batch(
-    const std::vector<ExploreRequest>& requests) const {
-  return run_batch<ExploreResponse>(*store_, *executor_, requests, &detail::eval_explore);
-}
-
 // --- envelope batch surface --------------------------------------------------
 
 namespace {
 
-/// One envelope slot after submission-time resolution: the payload pointed
-/// at its model, the snapshot it will evaluate (null when resolution or
-/// lookup failed — `failure` then carries what the slot lands with), and
-/// the slot's scheduling options.
-struct PreparedSlot {
-  RequestPayload payload;
-  ModelStore::Snapshot snapshot;
-  std::optional<support::DiagnosticList> failure;
-  SubmitOptions options;
-  /// The envelope's trace, carried onto the executor task so the queue-wait
-  /// span and the evaluation seams record against it. Null = untraced.
-  std::shared_ptr<obs::TraceContext> trace;
-};
+using Task = std::function<void()>;
 
-/// Envelope slots grouped by identical SubmitOptions, in first-appearance
-/// order. Each group becomes one executor submission, so priority bands and
-/// EDF deadlines hold per slot while slots that agree still share one
-/// self-scheduling batch. Tasks are *moved* into their group — a slot task
-/// owns the request payload and snapshot, so copying it would duplicate
-/// every request's data.
-template <typename Task>
+/// Envelope slot tasks grouped by identical SubmitOptions, in
+/// first-appearance order. Each group becomes one executor submission, so
+/// priority bands and EDF deadlines hold per slot while slots that agree
+/// still share one self-scheduling batch. Tasks are *moved* into their
+/// group — a slot task owns the request payload and snapshot, so copying it
+/// would duplicate every request's data.
 std::vector<std::pair<SubmitOptions, std::vector<Task>>> group_by_options(
-    const std::vector<PreparedSlot>& slots, std::vector<Task>&& tasks) {
+    const std::vector<SubmitOptions>& options, std::vector<Task>&& tasks) {
   std::vector<std::pair<SubmitOptions, std::vector<Task>>> groups;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
     auto group = groups.begin();
     for (; group != groups.end(); ++group) {
-      if (group->first == slots[i].options) break;
+      if (group->first == options[i]) break;
     }
     if (group == groups.end()) {
-      groups.push_back({slots[i].options, {}});
+      groups.push_back({options[i], {}});
       group = std::prev(groups.end());
     }
     group->second.push_back(std::move(tasks[i]));
@@ -581,61 +444,57 @@ std::vector<std::pair<SubmitOptions, std::vector<Task>>> group_by_options(
   return groups;
 }
 
-/// Resolves every envelope's target and snapshot at submission time — the
-/// batch sees the store as of submit, exactly like the v4 streaming
-/// surface. Takes the requests by value so owning callers (submit) move
-/// payloads through instead of copying; call_batch pays its one copy here
-/// and none later.
-std::vector<PreparedSlot> prepare(const ModelStore& store, std::vector<AnyRequest> requests,
-                                  const std::function<Result<ModelId>(const AnyRequest&)>& resolve) {
-  std::vector<PreparedSlot> slots;
-  slots.reserve(requests.size());
-  for (AnyRequest& request : requests) {
-    const Result<ModelId> target = resolve(request);  // reads the request: resolve before moving
-    PreparedSlot slot{.payload = std::move(request.payload), .options = request.options,
-                      .trace = std::move(request.trace)};
-    if (slot.trace) slot.trace->mark_queued();  // queue-wait starts at submission
-    if (!target.ok()) {
-      slot.failure = target.diagnostics();
-    } else {
-      set_model(slot.payload, target.value());
-      slot.snapshot = store.find(target.value());
-    }
-    slots.push_back(std::move(slot));
-  }
-  return slots;
-}
-
 }  // namespace
 
 BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
-                                         SlotCallback<AnyResponse> on_slot) const {
+                                         SlotCallback<AnyResponse> on_slot,
+                                         bool participate) const {
+  auto state =
+      std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
   if (const auto decision = shed()) {
     // Shed before submission: every slot lands with the typed overload
     // failure and the executor never sees the work — queueing it anyway is
     // exactly how an overloaded tail gets worse.
-    auto state =
-        std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
     for (std::size_t i = 0; i < requests.size(); ++i) {
       state->deliver(i, overload_failure(*decision));
     }
-    return make_batch_handle<AnyResponse>(std::move(state), executor_);
+    return {std::move(state), executor_};
   }
-  auto state =
-      std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
   const std::shared_ptr<ResultCache> cache = store_->cache();
-  // Raw pointer for compare's nested fan-out; the handle's owning copy
-  // keeps the executor alive past the session (see submit_compare).
+  // Each compare slot fans its strategy jobs across the same executor; the
+  // self-scheduling pool lets the slot's thread help drain its own jobs, so
+  // nesting cannot deadlock. Deliberately a raw pointer: the executor
+  // outlives every queued task (the handle keeps it alive, and the pool
+  // destructor drains its queue before joining), while an owning copy in a
+  // task could make a *worker* drop the last reference and self-join.
   Executor* executor = executor_.get();
 
-  std::vector<PreparedSlot> slots = prepare(*store_, std::move(requests),
-                                            [this](const AnyRequest& r) { return resolve_target(r); });
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    tasks.push_back([state, cache, executor, i, payload = std::move(slots[i].payload),
-                     snapshot = std::move(slots[i].snapshot),
-                     failure = std::move(slots[i].failure), trace = std::move(slots[i].trace)] {
+  std::vector<SubmitOptions> options;
+  std::vector<Task> tasks;
+  options.reserve(requests.size());
+  tasks.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    AnyRequest& request = requests[i];
+    // Target and snapshot resolve now: the batch sees the store as of
+    // submission, so a concurrent unload (or session move/destruction)
+    // cannot touch a slot. Tasks capture only the batch state, the
+    // snapshot and the cache; cancelled slots never touch the cache.
+    const Result<ModelId> target = resolve_target(request);
+    ModelStore::Snapshot snapshot;
+    std::optional<support::DiagnosticList> failure;
+    if (target.ok()) {
+      set_model(request.payload, target.value());
+      snapshot = store_->find(target.value());
+    } else {
+      failure = target.diagnostics();
+    }
+    // Queue-wait starts at submission; the task ends it as it starts, and
+    // the evaluation seams record against the installed trace.
+    if (request.trace) request.trace->mark_queued();
+    options.push_back(request.options);
+    tasks.push_back([state, cache, executor, i, payload = std::move(request.payload),
+                     snapshot = std::move(snapshot), failure = std::move(failure),
+                     trace = std::move(request.trace)] {
       if (trace) trace->end_queue_wait();
       obs::TraceScope scope{trace.get()};
       Result<AnyResponse> result = [&]() -> Result<AnyResponse> {
@@ -649,75 +508,22 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
       state->deliver(i, std::move(result));
     });
   }
-  for (auto& [options, group] : group_by_options(slots, std::move(tasks))) {
-    executor_->submit(std::move(group), options);
+  auto groups = group_by_options(options, std::move(tasks));
+  if (participate && groups.size() == 1) {
+    // Uniform options: the participating run() — safe even from inside a
+    // task already on the session's pool.
+    executor_->run(std::move(groups.front().second), groups.front().first);
+  } else {
+    for (auto& [group_options, group] : groups) {
+      executor_->submit(std::move(group), group_options);
+    }
   }
-  return make_batch_handle<AnyResponse>(std::move(state), executor_);
+  return {std::move(state), executor_};
 }
 
 std::vector<Result<AnyResponse>> Session::call_batch(
     const std::vector<AnyRequest>& requests) const {
-  if (const auto decision = shed()) {
-    std::vector<Result<AnyResponse>> out;
-    out.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) out.push_back(overload_failure(*decision));
-    return out;
-  }
-  const std::shared_ptr<ResultCache> cache = store_->cache();
-  Executor* executor = executor_.get();
-  std::vector<PreparedSlot> slots =
-      prepare(*store_, requests, [this](const AnyRequest& r) { return resolve_target(r); });
-
-  std::vector<std::optional<Result<AnyResponse>>> results(slots.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    tasks.push_back([&results, &slots, cache, executor, i] {
-      const PreparedSlot& slot = slots[i];
-      if (slot.trace) slot.trace->end_queue_wait();
-      obs::TraceScope scope{slot.trace.get()};
-      results[i] = slot.failure ? Result<AnyResponse>::failure(*slot.failure)
-                   : !slot.snapshot
-                       ? unknown_model<AnyResponse>(model_of(slot.payload))
-                       : eval_any(cache, *slot.snapshot, slot.payload, executor);
-    });
-  }
-
-  auto groups = group_by_options(slots, std::move(tasks));
-  if (groups.size() <= 1) {
-    // Uniform options: the classic participating run() — safe even from
-    // inside a task already on the session's pool.
-    if (!groups.empty()) executor_->run(std::move(groups.front().second), groups.front().first);
-  } else {
-    // Mixed options: one submission per options group so the executor can
-    // order them (priority band, then EDF), plus a latch so the call stays
-    // blocking. Groups drain on the pool's workers; prefer uniform options
-    // when calling from inside a pool task.
-    struct Latch {
-      std::mutex mutex;
-      std::condition_variable done;
-      std::size_t remaining;
-    };
-    auto latch = std::make_shared<Latch>();
-    latch->remaining = slots.size();  // tasks was consumed by the grouping
-    for (auto& [options, group] : groups) {
-      for (auto& task : group) {
-        task = [task = std::move(task), latch] {
-          task();
-          std::lock_guard lock{latch->mutex};
-          if (--latch->remaining == 0) latch->done.notify_all();
-        };
-      }
-      executor_->submit(std::move(group), options);
-    }
-    std::unique_lock lock{latch->mutex};
-    latch->done.wait(lock, [&] { return latch->remaining == 0; });
-  }
-
-  std::vector<Result<AnyResponse>> out;
-  out.reserve(results.size());
-  for (auto& result : results) out.push_back(std::move(*result));
-  return out;
+  return submit(requests, {}, /*participate=*/true).wait();
 }
 
 }  // namespace spivar::api

@@ -16,16 +16,14 @@
 //   api::Session a{store};                        // many sessions,
 //   api::Session b{store, api::make_executor(4)}; // one model store
 //
-// The batch surface evaluates whole scenario sets: blocking
-// (simulate_batch/explore_batch/compare) or streaming (submit_* returning a
-// BatchHandle with per-slot futures, an on_slot callback, and cancel()).
-// Batch tasks capture store snapshots — never the session — so sessions are
-// movable even with batches in flight.
+// Batches go through the AnyRequest envelope: call_batch blocks, submit
+// streams (a BatchHandle with per-slot futures, an on_slot callback, and
+// cancel()). Batch tasks capture store snapshots — never the session — so
+// sessions are movable even with batches in flight.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -206,69 +204,30 @@ class Session {
   /// Evaluates one envelope (target resolved first when set).
   [[nodiscard]] Result<AnyResponse> call(const AnyRequest& request) const;
 
-  /// Heterogeneous blocking batch: every slot evaluates independently
-  /// across the executor and the call returns all slots in order,
-  /// bit-identical to per-kind evaluation. Slots sharing identical
-  /// SubmitOptions run as one executor submission (the calling thread
-  /// participates when every slot agrees, so a uniform batch is safe from
-  /// inside a pool task); mixed options split into per-options submissions
-  /// so priority and deadline hold per slot.
+  /// Heterogeneous blocking batch — submit(participate) plus wait(): every slot
+  /// evaluates independently across the executor (one failing slot never
+  /// aborts the batch — it carries its diagnostics) and the call returns
+  /// all slots in order, bit-identical to per-kind and serial evaluation.
+  /// When every slot shares one SubmitOptions the calling thread
+  /// participates in the batch, so a uniform batch is safe from inside a
+  /// pool task; mixed options split into per-options submissions so
+  /// priority and deadline hold per slot.
   [[nodiscard]] std::vector<Result<AnyResponse>> call_batch(
       const std::vector<AnyRequest>& requests) const;
 
-  /// Heterogeneous streaming batch: snapshots resolve at submission, slots
-  /// land through `on_slot` and the handle's futures, and each slot's
-  /// SubmitOptions select its scheduling band — a high-priority simulate
-  /// overtakes a queued normal compare from the same envelope batch.
+  /// Heterogeneous streaming batch: snapshots resolve at submission (the
+  /// batch sees the store as of submit), slots land through `on_slot` and
+  /// the handle's futures, handle.wait() yields what call_batch would, and
+  /// each slot's SubmitOptions select its scheduling band — a high-priority
+  /// simulate overtakes a queued normal compare from the same batch. With
+  /// `participate`, a batch whose slots share one SubmitOptions runs with
+  /// the calling thread helping (the call returns once it has landed);
+  /// mixed options are submitted per options group either way.
   [[nodiscard]] BatchHandle<AnyResponse> submit(std::vector<AnyRequest> requests,
-                                                SlotCallback<AnyResponse> on_slot = {}) const;
-
-  // --- blocking batch surface ------------------------------------------------
-
-  /// Evaluates each request independently across the session's executor;
-  /// one failing scenario never aborts the batch — its slot carries the
-  /// diagnostics. Results are bit-identical to serial evaluation (requests
-  /// are deterministic by seed and write disjoint slots). The calling
-  /// thread participates in the batch, so these are safe to call even from
-  /// inside a task already running on the session's pool.
-  [[nodiscard]] std::vector<Result<SimulateResponse>> simulate_batch(
-      const std::vector<SimulateRequest>& requests) const;
-  [[nodiscard]] std::vector<Result<ExploreResponse>> explore_batch(
-      const std::vector<ExploreRequest>& requests) const;
-
-  // --- streaming batch surface -----------------------------------------------
-  //
-  // submit_* resolve every request's snapshot immediately (the batch sees
-  // the store as of submission) and return without waiting. Results stream
-  // through `on_slot` and the handle's per-slot futures as they land;
-  // handle.wait() yields the same vector the blocking entry point would.
-  // `options` selects the executor's scheduling band: a high-priority batch
-  // overtakes queued normal/low work, and a deadline orders it EDF within
-  // its band (see SubmitOptions).
-
-  [[nodiscard]] BatchHandle<SimulateResponse> submit_simulate_batch(
-      std::vector<SimulateRequest> requests, SlotCallback<SimulateResponse> on_slot = {},
-      SubmitOptions options = {}) const;
-  [[nodiscard]] BatchHandle<ExploreResponse> submit_explore_batch(
-      std::vector<ExploreRequest> requests, SlotCallback<ExploreResponse> on_slot = {},
-      SubmitOptions options = {}) const;
-  /// One slot per CompareRequest — a cross-model comparison sweep; each
-  /// slot's strategy jobs fan out across the same executor (safe: the pool
-  /// self-schedules nested batches).
-  [[nodiscard]] BatchHandle<CompareResponse> submit_compare(
-      std::vector<CompareRequest> requests, SlotCallback<CompareResponse> on_slot = {},
-      SubmitOptions options = {}) const;
+                                                SlotCallback<AnyResponse> on_slot = {},
+                                                bool participate = false) const;
 
  private:
-  /// Tombstone-aware target-spec memoization behind AnyRequest::target.
-  /// Shared-ptr + mutex: sessions stay movable and call()/submit stay safe
-  /// from several threads (SpecCache itself is single-threaded).
-  struct TargetCache {
-    explicit TargetCache(std::shared_ptr<ModelStore> store) : specs(std::move(store)) {}
-    std::mutex mutex;
-    SpecCache specs;
-  };
-
   /// Resolves the envelope's target spec (when set) into the payload's
   /// model handle; returns the resolution failure otherwise.
   [[nodiscard]] Result<ModelId> resolve_target(const AnyRequest& request) const;
@@ -279,7 +238,10 @@ class Session {
 
   std::shared_ptr<ModelStore> store_;
   std::shared_ptr<Executor> executor_;
-  std::shared_ptr<TargetCache> targets_;
+  /// Tombstone-aware target-spec memoization behind AnyRequest::target.
+  /// Shared so sessions stay movable; SpecCache locks itself, so
+  /// call()/submit stay safe from several threads.
+  std::shared_ptr<SpecCache> targets_;
 
   TenantContext tenant_;  ///< default-constructed until bind_tenant
   std::shared_ptr<StoreView> view_;

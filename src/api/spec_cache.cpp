@@ -12,7 +12,10 @@ SpecCache::SpecCache(std::shared_ptr<ModelStore> store) : store_(std::move(store
   if (!store_) store_ = std::make_shared<ModelStore>();
 }
 
-void SpecCache::bind_view(std::shared_ptr<StoreView> view) { view_ = std::move(view); }
+void SpecCache::bind_view(std::shared_ptr<StoreView> view) {
+  std::lock_guard lock{mutex_};
+  view_ = std::move(view);
+}
 
 namespace {
 
@@ -26,6 +29,7 @@ std::string cache_key(const std::string& spec, const std::vector<std::string>& a
 
 std::optional<ModelId> SpecCache::peek(const std::string& spec,
                                        const std::vector<std::string>& assignments) const {
+  std::lock_guard lock{mutex_};
   const auto it = loaded_.find(cache_key(spec, assignments));
   if (it == loaded_.end()) return std::nullopt;
   return it->second;
@@ -35,6 +39,7 @@ std::vector<ModelId> SpecCache::handles(const std::string& spec) const {
   // Keys are "spec" or "spec\nassignment...": match the bare spec and every
   // assignments variant, never a different spec with a shared prefix.
   std::vector<ModelId> out;
+  std::lock_guard lock{mutex_};
   for (const auto& [key, id] : loaded_) {
     if (key == spec || (key.size() > spec.size() && key[spec.size()] == '\n' &&
                         key.compare(0, spec.size(), spec) == 0)) {
@@ -47,6 +52,9 @@ std::vector<ModelId> SpecCache::handles(const std::string& spec) const {
 Result<ModelInfo> SpecCache::resolve(const std::string& spec,
                                      const std::vector<std::string>& assignments) {
   std::string key = cache_key(spec, assignments);
+  // Held across the load too: two threads resolving the same spec must
+  // share one handle, not race two loads of the same model.
+  std::lock_guard lock{mutex_};
 
   if (const auto it = loaded_.find(key); it != loaded_.end()) {
     Result<ModelInfo> info = view_ ? view_->info(it->second) : store_->info(it->second);

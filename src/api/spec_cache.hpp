@@ -13,10 +13,14 @@
 //   auto b = specs.resolve("fig2");                    // same handle
 //   store->unload(a.value().id);
 //   auto c = specs.resolve("fig2");                    // fresh load, new id
+//
+// Thread-safe: one mutex guards the memo and the view binding, so a Session
+// shares its SpecCache across every thread evaluating envelopes.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,6 +68,7 @@ class SpecCache {
 
  private:
   std::shared_ptr<ModelStore> store_;
+  mutable std::mutex mutex_;         ///< guards view_ and loaded_
   std::shared_ptr<StoreView> view_;  ///< tenant routing; null = direct store
   std::map<std::string, ModelId> loaded_;
 };

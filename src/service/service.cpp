@@ -298,140 +298,68 @@ api::Result<api::AnyResponse> tenant_cap_failure(const std::string& tenant, std:
                                 std::to_string(cap) + "); retry-after-ms 10");
 }
 
+/// A reply frame: `response v2 <id> ...` for a v2 frame, untagged otherwise.
+std::string encode_reply(const api::Result<api::AnyResponse>& result,
+                         std::optional<std::uint64_t> frame_id) {
+  return frame_id ? api::wire::encode(result, *frame_id) : api::wire::encode(result);
+}
+
+/// Blocks until every slot of `handle` has replied, without copying results.
+void await_replies(const api::BatchHandle<api::AnyResponse>& handle) {
+  for (std::size_t i = 0; i < handle.size(); ++i) handle.slot(i).wait();
+}
+
 /// The trace/metric label for streams that never sent a hello.
 const std::string kDefaultTenantName = "default";
 
 }  // namespace
 
 StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMode mode) {
-  Writer writer{out};
-  Inflight inflight;
-  StreamStats stats;
   // The stream starts on the default tenant (the shared pre-tenancy
   // session); a hello frame re-binds it. Tenants outlive every stream, so
   // the raw session pointer stays valid for the loop's lifetime.
-  std::shared_ptr<Tenant> tenant;
-  api::Session* session = &session_;
+  Stream stream{.writer = {out}, .session = &session_};
   while (!shutdown_requested()) {
     const auto frame = api::wire::read_frame(in);
     if (!frame) break;
-    ++stats.frames;
+    ++stream.stats.frames;
     try {
       record_frame(*frame);
       if (const auto hello = api::wire::parse_hello(*frame)) {
         std::string error;
         std::shared_ptr<Tenant> bound = authenticate(hello->tenant, hello->token, &error);
         if (!error.empty()) {
-          reply_error(writer, error);
+          reply_error(stream.writer, error);
           continue;
         }
-        tenant = std::move(bound);
-        session = tenant ? tenant->session.get() : &session_;
-        const std::uint32_t tag = tenant ? tenant->context.tag : 0;
-        reply_info(writer,
+        stream.tenant = std::move(bound);
+        stream.session = stream.tenant ? stream.tenant->session.get() : &session_;
+        const std::uint32_t tag = stream.tenant ? stream.tenant->context.tag : 0;
+        reply_info(stream.writer,
                    "hello tenant " + hello->tenant + " tag " + std::to_string(tag));
         continue;
       }
       if (const auto slots = api::wire::parse_batch_header(*frame)) {
-        handle_batch(*slots, in, writer, *session, tenant.get());
+        handle_batch(*slots, in, stream);
         continue;
       }
       if (const auto control = api::wire::parse_control(*frame)) {
-        handle_control(*control, writer, *session);
+        handle_control(*control, stream.writer, *stream.session);
         continue;
       }
-      const std::string& tenant_name = tenant ? tenant->context.name : kDefaultTenantName;
-      const std::optional<std::uint64_t> frame_id = api::wire::request_frame_id(*frame);
-      if (!frame_id.has_value()) {
-        // v1 (or a header too rotten to carry an id): strict arrival order,
-        // evaluated inline — a v1-only client sees exactly the v1 service.
-        api::Result<api::AnyRequest> request = api::wire::decode_request(*frame);
-        if (!request.ok()) {
-          writer.write(api::wire::encode(
-              api::Result<api::AnyResponse>::failure(request.diagnostics())));
-          continue;
-        }
-        api::AnyRequest req = std::move(request).value();
-        const api::RequestKind kind = api::kind_of(req);
-        req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
-        const std::shared_ptr<obs::TraceContext> trace = req.trace;
-        const api::Result<api::AnyResponse> result = session->call(req);
-        observe_done(trace, kind, tenant.get(), result.ok());
-        writer.write(api::wire::encode(result));
-        continue;
-      }
-      ++stats.pipelined;
-      // Backpressure: stop consuming the socket while max_inflight slots
-      // are evaluating. The client's unread bytes accumulate in the kernel
-      // buffers until its own writes stall — no server-side request queue
-      // to grow without bound.
-      {
-        std::unique_lock lock{inflight.mutex};
-        if (inflight.count >= max_inflight_) {
-          ++stats.backpressure_waits;
-          inflight.drained.wait(lock, [&] { return inflight.count < max_inflight_; });
-        }
-        ++inflight.count;
-      }
-      api::Result<api::AnyRequest> request = api::wire::decode_request(*frame);
-      if (!request.ok()) {
-        // Line-numbered decode error, tagged with the frame's id, and the
-        // connection lives on — one malformed frame costs one reply.
-        writer.write(api::wire::encode(
-            api::Result<api::AnyResponse>::failure(request.diagnostics()), *frame_id));
-        std::lock_guard lock{inflight.mutex};
-        --inflight.count;
-        inflight.drained.notify_all();
-        continue;
-      }
-      if (mode == StreamMode::kOrdered) {
-        // --replay/--warm: evaluate inline so the reply order (and the
-        // cache fill order) reproduces the recorded submission order
-        // byte-for-byte; the reply still carries its v2 tag.
-        api::AnyRequest req = std::move(request).value();
-        const api::RequestKind kind = api::kind_of(req);
-        req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
-        const std::shared_ptr<obs::TraceContext> trace = req.trace;
-        const api::Result<api::AnyResponse> result = session->call(req);
-        observe_done(trace, kind, tenant.get(), result.ok());
-        writer.write(api::wire::encode(result, *frame_id));
-        std::lock_guard lock{inflight.mutex};
-        --inflight.count;
-        inflight.drained.notify_all();
-        continue;
-      }
-      if (tenant != nullptr && tenant->quota.max_inflight > 0) {
-        // The tenant's cap composes with the stream cap above — but where
-        // the stream cap *blocks* (backpressure to this client only), the
-        // tenant cap *rejects*: blocking here would let one capped tenant
-        // hold reader threads hostage while other tenants' frames queue
-        // behind it. fetch_add-then-check keeps the cap exact across the
-        // tenant's concurrent connections.
-        if (tenant->inflight.fetch_add(1, std::memory_order_acq_rel) >=
-            tenant->quota.max_inflight) {
-          tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
-          tenant->shed.fetch_add(1, std::memory_order_relaxed);
-          ++stats.shed;
-          writer.write(api::wire::encode(
-              tenant_cap_failure(tenant->context.name, tenant->quota.max_inflight), *frame_id));
-          std::lock_guard lock{inflight.mutex};
-          --inflight.count;
-          inflight.drained.notify_all();
-          continue;
-        }
-      }
-      api::AnyRequest req = std::move(request).value();
-      req.trace = tracer_.begin(tenant_name, api::to_string(api::kind_of(req)), req.target);
-      submit_pipelined(std::move(req), *frame_id, writer, inflight, *session, tenant);
+      handle_request(*frame, stream, mode);
     } catch (const std::exception& e) {
-      reply_error(writer, std::string{"internal error handling frame: "} + e.what());
+      reply_error(stream.writer, std::string{"internal error handling frame: "} + e.what());
     }
   }
   // The writer, the inflight counter and the stream live on this stack
   // frame: every slot callback must have fired before returning (shutdown
   // included — the executor keeps draining submitted work).
-  std::unique_lock lock{inflight.mutex};
-  inflight.drained.wait(lock, [&] { return inflight.count == 0; });
+  {
+    std::unique_lock lock{stream.inflight.mutex};
+    stream.inflight.drained.wait(lock, [&] { return stream.inflight.count == 0; });
+  }
+  const StreamStats& stats = stream.stats;
   stream_frames_.fetch_add(stats.frames, std::memory_order_relaxed);
   stream_pipelined_.fetch_add(stats.pipelined, std::memory_order_relaxed);
   stream_backpressure_.fetch_add(stats.backpressure_waits, std::memory_order_relaxed);
@@ -439,33 +367,93 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
   return stats;
 }
 
-void Service::submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, Writer& writer,
-                               Inflight& inflight, api::Session& session,
-                               std::shared_ptr<Tenant> tenant) {
-  const api::RequestKind kind = api::kind_of(request);
-  std::shared_ptr<obs::TraceContext> trace = request.trace;
+void Service::handle_request(const std::string& frame, Stream& stream, StreamMode mode) {
+  const std::optional<std::uint64_t> frame_id = api::wire::request_frame_id(frame);
+  if (frame_id) ++stream.stats.pipelined;
+  api::Result<api::AnyRequest> request = api::wire::decode_request(frame);
+  if (!request.ok()) {
+    // Line-numbered decode error (tagged with a v2 frame's id), and the
+    // connection lives on — one malformed frame costs one reply.
+    stream.writer.write(encode_reply(
+        api::Result<api::AnyResponse>::failure(request.diagnostics()), frame_id));
+    return;
+  }
+  // Delivery is the only difference between frame shapes. A v2 frame on a
+  // live stream replies from its slot callback the moment it completes —
+  // out of arrival order when a later frame finishes first. A v1 frame (a
+  // v1-only client sees exactly the v1 service) and every frame of an
+  // ordered --replay/--warm stream make the reader wait for the reply, so
+  // reply order and cache fill order reproduce the arrival order.
+  const bool live = frame_id && mode == StreamMode::kPipelined;
+  Inflight& inflight = stream.inflight;
+  if (live) {
+    // Backpressure: stop consuming the socket while max_inflight slots are
+    // evaluating. The client's unread bytes accumulate in the kernel
+    // buffers until its own writes stall — no server-side request queue to
+    // grow without bound.
+    std::unique_lock lock{inflight.mutex};
+    if (inflight.count >= max_inflight_) {
+      ++stream.stats.backpressure_waits;
+      inflight.drained.wait(lock, [&] { return inflight.count < max_inflight_; });
+    }
+    ++inflight.count;
+  }
   std::vector<api::AnyRequest> one;
-  one.push_back(std::move(request));
-  // The handle is deliberately discarded: the slot's task keeps the batch
-  // state alive, the callback below is the delivery path, and serve_stream
-  // drains the inflight count before its stack (writer, inflight) unwinds.
-  // The tenant's in-flight token (acquired by the caller) releases here too.
-  (void)session.submit(
-      std::move(one), [this, &writer, &inflight, frame_id, kind, trace = std::move(trace),
-                       tenant = std::move(tenant)](
-                          std::size_t, const api::Result<api::AnyResponse>& result) {
+  one.push_back(std::move(request).value());
+  const auto handle = evaluate(stream, std::move(one), frame_id, live,
+                               [&stream, &inflight, live](std::size_t, std::string reply) {
+                                 stream.writer.write(reply);
+                                 if (!live) return;
+                                 std::lock_guard lock{inflight.mutex};
+                                 --inflight.count;
+                                 inflight.drained.notify_all();
+                               });
+  if (!live) await_replies(handle);
+}
+
+api::BatchHandle<api::AnyResponse> Service::evaluate(Stream& stream,
+                                                      std::vector<api::AnyRequest> requests,
+                                                      std::optional<std::uint64_t> frame_id,
+                                                      bool live, Reply reply) {
+  std::shared_ptr<Tenant> tenant = stream.tenant;
+  // The tenant cap covers live frames only: where the stream cap *blocks*
+  // (backpressure to this client only), the tenant cap *rejects* — blocking
+  // would let one capped tenant hold reader threads hostage while other
+  // tenants' frames queue behind it. A frame whose delivery blocks the
+  // reader holds no token beyond its own reply. fetch_add-then-check keeps
+  // the cap exact across the tenant's concurrent connections.
+  const bool capped = live && tenant != nullptr && tenant->quota.max_inflight > 0;
+  if (capped && tenant->inflight.fetch_add(1, std::memory_order_acq_rel) >=
+                    tenant->quota.max_inflight) {
+    tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    tenant->shed.fetch_add(1, std::memory_order_relaxed);
+    ++stream.stats.shed;
+    reply(0, encode_reply(tenant_cap_failure(tenant->context.name, tenant->quota.max_inflight),
+                          frame_id));
+    return {};
+  }
+  const std::string& tenant_name = tenant ? tenant->context.name : kDefaultTenantName;
+  std::vector<std::pair<std::shared_ptr<obs::TraceContext>, api::RequestKind>> traces;
+  traces.reserve(requests.size());
+  for (api::AnyRequest& request : requests) {
+    const api::RequestKind kind = api::kind_of(request);
+    request.trace = tracer_.begin(tenant_name, api::to_string(kind), request.target);
+    traces.emplace_back(request.trace, kind);
+  }
+  return stream.session->submit(
+      std::move(requests),
+      [this, traces = std::move(traces), tenant = std::move(tenant), capped, frame_id,
+       reply = std::move(reply)](std::size_t slot, const api::Result<api::AnyResponse>& result) {
         // Trace completion before the reply streams: by the time the client
         // reads the frame (or serve_stream returns), the record is in the
         // ring and every counter reflects this request.
-        observe_done(trace, kind, tenant.get(), result.ok());
-        writer.write(api::wire::encode(result, frame_id));
-        if (tenant && tenant->quota.max_inflight > 0) {
-          tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        std::lock_guard lock{inflight.mutex};
-        --inflight.count;
-        inflight.drained.notify_all();
-      });
+        observe_done(traces[slot].first, traces[slot].second, tenant.get(), result.ok());
+        reply(slot, encode_reply(result, frame_id));
+        if (capped) tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
+      },
+      // A reader that would only block on the reply helps evaluate instead
+      // of waiting for a worker to pick the slots up.
+      /*participate=*/!live);
 }
 
 void Service::record_frame(const std::string& frame) {
@@ -493,75 +481,54 @@ void Service::record_frame(const std::string& frame) {
   if (record_fsync_) ::fsync(record_fd_);
 }
 
-void Service::handle_batch(std::size_t slots, std::istream& in, Writer& writer,
-                           api::Session& session, Tenant* tenant) {
+void Service::handle_batch(std::size_t slots, std::istream& in, Stream& stream) {
   // Sanity-cap the client-supplied count before allocating anything for
   // it — a corrupt header must not be able to abort the shared server.
   constexpr std::size_t kMaxBatchSlots = 65'536;
   if (slots > kMaxBatchSlots) {
-    reply_error(writer, "batch of " + std::to_string(slots) + " slots exceeds the limit of " +
-                            std::to_string(kMaxBatchSlots));
+    reply_error(stream.writer, "batch of " + std::to_string(slots) +
+                                   " slots exceeds the limit of " +
+                                   std::to_string(kMaxBatchSlots));
     return;
   }
   batches_->add();
-  std::vector<api::Result<api::AnyRequest>> decoded;
-  decoded.reserve(slots);
+  // Slots that never reach the session (decode failures, a truncated
+  // batch) get their reply now; the well-formed ones evaluate as one
+  // submit and fill in their positions from the slot callbacks.
+  std::vector<std::string> replies(
+      slots, api::wire::encode(api::Result<api::AnyResponse>::failure(
+                 api::diag::kWireError, "batch truncated before this slot")));
+  std::vector<api::AnyRequest> requests;
+  std::vector<std::size_t> positions;
   for (std::size_t i = 0; i < slots; ++i) {
     const auto frame = api::wire::read_frame(in);
     if (!frame) {
-      decoded.push_back(api::Result<api::AnyRequest>::failure(
-          api::diag::kWireError,
-          "batch truncated: expected " + std::to_string(slots) + " request frames, got " +
-              std::to_string(i)));
+      replies[i] = api::wire::encode(api::Result<api::AnyResponse>::failure(
+          api::diag::kWireError, "batch truncated: expected " + std::to_string(slots) +
+                                     " request frames, got " + std::to_string(i)));
       break;
     }
     record_frame(*frame);
-    decoded.push_back(api::wire::decode_request(*frame));
-  }
-
-  // Evaluate the well-formed slots as one submit; merge decode failures
-  // back into their original positions. Every slot gets its own trace —
-  // batch traffic counts toward the same request/latency instruments as
-  // single-frame traffic.
-  const std::string& tenant_name = tenant != nullptr ? tenant->context.name : kDefaultTenantName;
-  std::vector<api::AnyRequest> requests;
-  std::vector<std::size_t> positions;
-  std::vector<std::pair<std::shared_ptr<obs::TraceContext>, api::RequestKind>> traces;
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    if (decoded[i].ok()) {
-      api::AnyRequest req = std::move(decoded[i]).value();
-      const api::RequestKind kind = api::kind_of(req);
-      req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
-      traces.emplace_back(req.trace, kind);
-      requests.push_back(std::move(req));
-      positions.push_back(i);
+    api::Result<api::AnyRequest> request = api::wire::decode_request(*frame);
+    if (!request.ok()) {
+      replies[i] =
+          api::wire::encode(api::Result<api::AnyResponse>::failure(request.diagnostics()));
+      continue;
     }
+    requests.push_back(std::move(request).value());
+    positions.push_back(i);
   }
-  auto handle = session.submit(std::move(requests));
-  const std::vector<api::Result<api::AnyResponse>> landed = handle.wait();
-  for (std::size_t j = 0; j < traces.size(); ++j) {
-    observe_done(traces[j].first, traces[j].second, tenant, landed[j].ok());
-  }
-
-  std::vector<api::Result<api::AnyResponse>> results;
-  results.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    results.push_back(api::Result<api::AnyResponse>::failure(
-        api::diag::kWireError, "batch truncated before this slot"));
-  }
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    if (!decoded[i].ok()) {
-      results[i] = api::Result<api::AnyResponse>::failure(decoded[i].diagnostics());
-    }
-  }
-  for (std::size_t j = 0; j < positions.size(); ++j) results[positions[j]] = landed[j];
+  await_replies(evaluate(stream, std::move(requests), std::nullopt, /*live=*/false,
+                         [&replies, &positions](std::size_t slot, std::string reply) {
+                           replies[positions[slot]] = std::move(reply);
+                         }));
 
   // One writer acquisition for the whole reply: the batch header and its n
   // responses are contiguous on the stream even while pipelined slots of
   // the same connection are completing concurrently.
   std::string reply = api::wire::batch_header(slots);
-  for (const auto& result : results) reply += api::wire::encode(result);
-  writer.write(reply);
+  for (const std::string& slot : replies) reply += slot;
+  stream.writer.write(reply);
 }
 
 void Service::reply_info(Writer& writer, const std::string& text) {

@@ -7,13 +7,13 @@
 // once, its synthesis setup is memoized once, and the result cache serves
 // every client. Frames (see api/wire.hpp):
 //
-//   request v1 <kind> ... end      one envelope, answered in arrival order
-//   request v2 <kind> <id> ...     pipelined envelope: handed to
-//                                  Session::submit as soon as it decodes,
-//                                  replied `response v2 <id> ...` the moment
-//                                  the slot completes — out of arrival order
+//   request v1 <kind> ... end      one envelope; the reader waits for its
+//                                  reply, so replies keep arrival order
+//   request v2 <kind> <id> ...     pipelined envelope: replied
+//                                  `response v2 <id> ...` the moment its
+//                                  slot completes — out of arrival order
 //                                  when a later request finishes first
-//   batch v1 <n> + n requests      heterogeneous Session::submit; per-slot
+//   batch v1 <n> + n requests      one heterogeneous submission; per-slot
 //                                  priorities/deadlines honored -> batch
 //                                  header + n response frames in slot order
 //   control v1 <command> ...       ping | models | load | unload |
@@ -28,17 +28,25 @@
 //                                  the default tenant = pre-tenancy service
 //                                  behavior, byte for byte.
 //
+// Every request — v1 frame, v2 frame, batch slot, replayed frame — takes
+// one path: decode, mint a trace, Session::submit, and complete the trace
+// and encode the reply in the slot callback. Only delivery differs: a live
+// v2 frame's callback writes its tagged reply while the reader moves on;
+// for v1 frames, batches and every frame of a --replay/--warm stream the
+// reader helps evaluate and waits for the reply before it reads the next
+// frame (v1 is "v2 with ordered delivery"). Controls and hellos are
+// answered by the reader.
+//
 // Pipelining contract per connection: one writer mutex serializes whole
 // reply frames (no reordering buffer — a reply streams the moment its slot
-// lands), and at most `max_inflight` v2 frames are evaluating at once; the
-// reader stops pulling bytes off the socket until a slot drains, which is
-// what pushes backpressure to the client. A tenant's own max_inflight quota
-// composes with that: at the tenant cap the frame is *rejected* with a
-// typed api-overload reply (and a retry-after hint) instead of blocking the
-// reader — one tenant's burst must not stall another tenant sharing the
-// executor. v1 frames, batches and controls are handled inline, so a
-// v1-only client observes exactly the strict arrival-order behavior of
-// protocol v1.
+// lands), and at most `max_inflight` live v2 frames are evaluating at once;
+// the reader stops pulling bytes off the socket until a slot drains, which
+// is what pushes backpressure to the client. A tenant's own max_inflight
+// quota composes with that: at the tenant cap a live frame is *rejected*
+// with a typed api-overload reply (and a retry-after hint) instead of
+// blocking the reader — one tenant's burst must not stall another tenant
+// sharing the executor. Frames whose delivery blocks the reader already
+// hold it, so the tenant cap does not count them.
 #pragma once
 
 #include <array>
@@ -102,9 +110,9 @@ struct ServiceOptions {
 /// the pipelining tests assert on and the tool ignores.
 struct StreamStats {
   std::uint64_t frames = 0;             ///< frames read (requests, batches, controls)
-  std::uint64_t pipelined = 0;          ///< v2 request frames submitted
+  std::uint64_t pipelined = 0;          ///< v2 request frames read
   std::uint64_t backpressure_waits = 0; ///< reader stalls at max_inflight
-  std::uint64_t shed = 0;               ///< v2 frames rejected at a tenant's in-flight cap
+  std::uint64_t shed = 0;               ///< live v2 frames rejected at a tenant's in-flight cap
 };
 
 /// The shared service state: one store, one executor, one session — every
@@ -119,11 +127,11 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// How v2 frames on a stream are evaluated. kPipelined is the live
+  /// How v2 frames on a stream are delivered. kPipelined is the live
   /// connection mode (submit on decode, reply on completion); kOrdered
-  /// evaluates every frame inline in arrival order — what --replay and
-  /// --warm use so a recorded pipelined session reproduces one reply per
-  /// request deterministically (replies still carry their v2 frame ids).
+  /// waits for each frame's reply before reading the next — what --replay
+  /// and --warm use so a recorded pipelined session reproduces one reply
+  /// per request deterministically (replies still carry their v2 frame ids).
   enum class StreamMode { kPipelined, kOrdered };
 
   /// Replays a recorded request log against the shared session, responses
@@ -171,35 +179,35 @@ class Service {
  private:
   /// One connection's write side: whole reply frames under one mutex, so a
   /// slot completing on an executor thread never interleaves bytes with the
-  /// reader thread's inline replies (or another slot's).
+  /// reader thread's replies (or another slot's).
   struct Writer {
     std::ostream& out;
     std::mutex mutex;
     void write(const std::string& frame);
   };
 
-  /// In-flight accounting for one pipelined stream.
+  /// In-flight accounting for one stream's live v2 frames.
   struct Inflight {
     std::mutex mutex;
     std::condition_variable drained;
     std::size_t count = 0;
   };
 
+  /// One instrument handle per request kind, indexed by RequestKind — the
+  /// pre-resolved handles the request path bumps without registry lookups.
+  static constexpr std::size_t kKinds = 5;
+  using KindCounters = std::array<obs::Counter*, kKinds>;
+
   /// One tenant's service-side state: the view/session pair every
   /// connection bound to this tenant shares, plus in-flight accounting for
   /// the per-tenant cap. Created at startup (configured tenants) or on
   /// first hello (ad hoc tenants) and kept for the service's lifetime.
-  /// One instrument handle per request kind, indexed by RequestKind — the
-  /// pre-resolved handles the request paths bump without registry lookups.
-  static constexpr std::size_t kKinds = 5;
-  using KindCounters = std::array<obs::Counter*, kKinds>;
-
   struct Tenant {
     api::TenantContext context;
     api::TenantQuota quota;
     std::shared_ptr<api::StoreView> view;
     std::shared_ptr<api::Session> session;
-    std::atomic<std::size_t> inflight{0};    ///< v2 slots evaluating now
+    std::atomic<std::size_t> inflight{0};    ///< live v2 slots evaluating now
     std::atomic<std::uint64_t> shed{0};      ///< frames rejected at the cap
     /// Resolved once at tenant creation: spivar_requests_total /
     /// spivar_request_errors_total{tenant=...,kind=...}.
@@ -207,23 +215,36 @@ class Service {
     KindCounters errors{};
   };
 
-  struct Tenant;
+  /// One serve_stream call; `tenant` is what a hello bound (null = default).
+  struct Stream {
+    Writer writer;
+    Inflight inflight;
+    StreamStats stats;
+    std::shared_ptr<Tenant> tenant;
+    api::Session* session = nullptr;
+  };
+
+  /// Takes each slot's encoded reply, on the thread that evaluated it.
+  using Reply = std::function<void(std::size_t slot, std::string frame)>;
 
   void record_frame(const std::string& frame);
-  void handle_batch(std::size_t slots, std::istream& in, Writer& writer, api::Session& session,
-                    Tenant* tenant);
+  void handle_request(const std::string& frame, Stream& stream, StreamMode mode);
+  void handle_batch(std::size_t slots, std::istream& in, Stream& stream);
+  /// The one eval path: mints each request's trace, applies the tenant
+  /// in-flight cap when `live` (the delivery that does not block the
+  /// reader) and submits; each slot callback completes the trace and hands
+  /// `reply` the encoded reply (tagged with `frame_id` when set). Returns
+  /// the handle a blocking delivery waits on; empty when the cap rejected.
+  api::BatchHandle<api::AnyResponse> evaluate(Stream& stream,
+                                              std::vector<api::AnyRequest> requests,
+                                              std::optional<std::uint64_t> frame_id, bool live,
+                                              Reply reply);
   void handle_control(const api::wire::ControlCommand& control, Writer& writer,
                       api::Session& session);
   void handle_cache_control(const api::wire::ControlCommand& control, Writer& writer);
   void reply_info(Writer& writer, const std::string& text);
   void reply_error(Writer& writer, const support::DiagnosticList& diagnostics);
   void reply_error(Writer& writer, const std::string& message);
-  /// Submits one decoded v2 frame to the stream's session; the slot
-  /// callback writes the tagged reply and releases the inflight tokens
-  /// (stream-level, and the tenant's when one is bound).
-  void submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, Writer& writer,
-                        Inflight& inflight, api::Session& session,
-                        std::shared_ptr<Tenant> tenant);
   /// Resolves a hello: "default" maps to the shared default session
   /// (returns null with *error empty); an unknown name is provisioned with
   /// default quotas; a configured token must match (*error set otherwise).
@@ -244,8 +265,8 @@ class Service {
   /// registry on each render.
   void register_collector();
   /// Completes a request's trace and bumps the request/error/latency
-  /// instruments. Idempotent per trace (Tracer::finish latches), so the
-  /// pipelined callback and inline paths can't double-count a request.
+  /// instruments. Idempotent per trace (Tracer::finish latches), so a
+  /// request can never be counted twice.
   void observe_done(const std::shared_ptr<obs::TraceContext>& trace, api::RequestKind kind,
                     Tenant* tenant, bool ok);
 

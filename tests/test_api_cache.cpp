@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "envelope_helpers.hpp"
 
 namespace spivar {
 namespace {
@@ -137,9 +138,9 @@ TEST(ResultCache, BatchesAreFrontedToo) {
     request.options.seed = seed;
     sweep.push_back(request);
   }
-  const auto cold = session.simulate_batch(sweep);
-  const auto warm = session.simulate_batch(sweep);  // every slot hits
-  const auto streamed = session.submit_simulate_batch(sweep).wait();
+  const auto cold = session.call_batch(envelopes(sweep));
+  const auto warm = session.call_batch(envelopes(sweep));  // every slot hits
+  const auto streamed = session.submit(envelopes(sweep)).wait();
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(render_result(cold[i]), render_result(warm[i])) << i;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "envelope_helpers.hpp"
 
 namespace spivar {
 namespace {
@@ -331,11 +332,12 @@ TEST(BuiltinOptions, OptionsChangeSimulatedBehavior) {
       .name = "fig1", .options = models::Fig1Options{.tagged = false}});
   const auto tagged = session.load_builtin("fig1");
   ASSERT_TRUE(quiet.ok() && tagged.ok());
-  const auto runs = session.simulate_batch(
-      {{.model = quiet.value().id}, {.model = tagged.value().id}});
+  const auto runs = session.call_batch(
+      envelopes({{.model = quiet.value().id}, {.model = tagged.value().id}}));
   ASSERT_TRUE(runs[0].ok() && runs[1].ok());
   // Untagged tokens never enable p2: the untagged run fires strictly less.
-  EXPECT_LT(runs[0].value().result.total_firings, runs[1].value().result.total_firings);
+  EXPECT_LT(response_of<api::SimulateResponse>(runs[0]).result.total_firings,
+            response_of<api::SimulateResponse>(runs[1]).result.total_firings);
 }
 
 TEST(BuiltinOptions, MismatchedStructFailsWithDiagnostics) {

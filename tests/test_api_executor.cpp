@@ -1,7 +1,8 @@
 // Executor contract and parallel-vs-serial determinism of the session's
-// batch surface: a ThreadPoolExecutor must produce results bit-identical to
-// SerialExecutor (every request is deterministic by seed and writes its own
-// slot), so parallelism is purely a wall-clock decision.
+// envelope batch surface (call_batch / submit): a ThreadPoolExecutor must
+// produce results bit-identical to SerialExecutor (every request is
+// deterministic by seed and writes its own slot), so parallelism is purely
+// a wall-clock decision.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,24 +16,12 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "envelope_helpers.hpp"
 
 namespace spivar {
 namespace {
 
 using api::Session;
-
-/// Renders every batch slot (or its diagnostics) into one string — the
-/// bit-identical comparison covers names, costs, mappings and orderings.
-template <typename T>
-std::string render_batch(const std::vector<api::Result<T>>& results) {
-  std::string out;
-  for (const auto& result : results) {
-    out += result.ok() ? api::render(result.value())
-                       : api::render_diagnostics(result.diagnostics());
-    out += "\n---\n";
-  }
-  return out;
-}
 
 // --- executor contract -------------------------------------------------------
 
@@ -242,10 +231,9 @@ TEST(ExecutorScheduling, PrioritizedSessionBatchesStayBitIdentical) {
     request.options.seed = seed;
     batch.push_back(request);
   }
-  const std::string expected = render_batch(serial.simulate_batch(batch));
-  auto handle = pooled.submit_simulate_batch(
-      batch, {},
-      {.priority = api::Priority::kHigh, .deadline = std::chrono::milliseconds{100}});
+  const std::string expected = render_batch(serial.call_batch(envelopes(batch)));
+  auto handle = pooled.submit(envelopes(
+      batch, {.priority = api::Priority::kHigh, .deadline = std::chrono::milliseconds{100}}));
   EXPECT_EQ(render_batch(handle.wait()), expected);
 }
 
@@ -299,11 +287,11 @@ TEST_P(ParallelDeterminism, BatchAndCompareMatchSerialBitForBit) {
     request.options.seed = seed;
     simulations.push_back(request);
   }
-  const std::string serial_text = render_batch(serial.simulate_batch(simulations));
-  EXPECT_EQ(serial_text, render_batch(pooled.simulate_batch(simulations)));
+  const std::string serial_text = render_batch(serial.call_batch(envelopes(simulations)));
+  EXPECT_EQ(serial_text, render_batch(pooled.call_batch(envelopes(simulations))));
   std::atomic<std::size_t> streamed{0};
-  auto handle = pooled.submit_simulate_batch(
-      simulations, [&streamed](std::size_t, const api::Result<api::SimulateResponse>&) {
+  auto handle = pooled.submit(
+      envelopes(simulations), [&streamed](std::size_t, const api::Result<api::AnyResponse>&) {
         ++streamed;
       });
   EXPECT_EQ(serial_text, render_batch(handle.wait()));
@@ -319,11 +307,11 @@ TEST_P(ParallelDeterminism, BatchAndCompareMatchSerialBitForBit) {
     request.options.seed = seed;
     explorations.push_back(request);
   }
-  EXPECT_EQ(render_batch(serial.explore_batch(explorations)),
-            render_batch(pooled.explore_batch(explorations)));
+  EXPECT_EQ(render_batch(serial.call_batch(envelopes(explorations))),
+            render_batch(pooled.call_batch(envelopes(explorations))));
 
   // Compare: all five strategies, order sweep included — and the streaming
-  // submit_compare slot must match both blocking paths bit for bit.
+  // submit slot must match both blocking paths bit for bit.
   api::CompareRequest compare{.model = serial_model.value().id};
   compare.all_orders = true;
   const auto a = serial.compare(compare);
@@ -331,10 +319,11 @@ TEST_P(ParallelDeterminism, BatchAndCompareMatchSerialBitForBit) {
   ASSERT_TRUE(a.ok()) << a.error_summary();
   ASSERT_TRUE(b.ok()) << b.error_summary();
   EXPECT_EQ(api::render(a.value()), api::render(b.value()));
-  const auto streamed_compare = pooled.submit_compare({compare}).wait();
+  const auto streamed_compare = pooled.submit(envelopes<api::CompareRequest>({compare})).wait();
   ASSERT_EQ(streamed_compare.size(), 1u);
   ASSERT_TRUE(streamed_compare[0].ok()) << streamed_compare[0].error_summary();
-  EXPECT_EQ(api::render(a.value()), api::render(streamed_compare[0].value()));
+  EXPECT_EQ(api::render(a.value()),
+            api::render(response_of<api::CompareResponse>(streamed_compare[0])));
 }
 
 INSTANTIATE_TEST_SUITE_P(Builtins, ParallelDeterminism,
@@ -350,7 +339,7 @@ TEST(ParallelBatch, FailingSlotsStayIsolatedUnderThePool) {
   for (int i = 0; i < 12; ++i) {
     batch.push_back({.model = i % 3 == 1 ? api::ModelId{9999} : loaded.value().id});
   }
-  const auto results = pooled.simulate_batch(batch);
+  const auto results = pooled.call_batch(envelopes(batch));
   ASSERT_EQ(results.size(), batch.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i % 3 == 1) {
@@ -426,7 +415,7 @@ TEST(ExecutorStats, SessionExposesItsExecutorsTelemetry) {
   std::vector<api::SimulateRequest> batch(6, {.model = loaded.value().id});
 
   EXPECT_EQ(session.executor_stats().completed, 0u);
-  auto handle = session.submit_simulate_batch(batch, {}, {.deadline = std::chrono::milliseconds{0}});
+  auto handle = session.submit(envelopes(batch, {.deadline = std::chrono::milliseconds{0}}));
   (void)handle.wait();
   api::ExecutorStats stats = session.executor_stats();
   while (stats.completed < batch.size()) stats = session.executor_stats();
@@ -472,13 +461,13 @@ TEST(ParallelBatch, ConcurrentBatchesFromSeveralThreadsInterleaveSafely) {
   ASSERT_TRUE(loaded.ok());
   std::vector<api::SimulateRequest> batch(8, {.model = loaded.value().id});
 
-  const std::string expected = render_batch(pooled.simulate_batch(batch));
+  const std::string expected = render_batch(pooled.call_batch(envelopes(batch)));
   std::vector<std::string> observed(3);
   std::vector<std::thread> callers;
   callers.reserve(observed.size());
   for (auto& slot : observed) {
     callers.emplace_back(
-        [&pooled, &batch, &slot] { slot = render_batch(pooled.simulate_batch(batch)); });
+        [&pooled, &batch, &slot] { slot = render_batch(pooled.call_batch(envelopes(batch))); });
   }
   for (auto& caller : callers) caller.join();
   for (const auto& text : observed) EXPECT_EQ(text, expected);

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/api.hpp"
+#include "envelope_helpers.hpp"
 #include "sim/engine.hpp"
 #include "spi/builder.hpp"
 #include "spi/graph.hpp"
@@ -67,11 +68,13 @@ TEST(ApiSession, TextRoundTripPreservesBehavior) {
   EXPECT_EQ(reparsed.value().name, "fig1-reparsed");
   EXPECT_EQ(reparsed.value().processes, original.value().processes);
 
-  const auto runs = session.simulate_batch(
-      {{.model = original.value().id}, {.model = reparsed.value().id}});
+  const auto runs = session.call_batch(
+      envelopes({{.model = original.value().id}, {.model = reparsed.value().id}}));
   ASSERT_TRUE(runs[0].ok() && runs[1].ok());
-  EXPECT_EQ(runs[0].value().result.total_firings, runs[1].value().result.total_firings);
-  EXPECT_EQ(runs[0].value().result.end_time, runs[1].value().result.end_time);
+  const auto& a = response_of<api::SimulateResponse>(runs[0]).result;
+  const auto& b = response_of<api::SimulateResponse>(runs[1]).result;
+  EXPECT_EQ(a.total_firings, b.total_firings);
+  EXPECT_EQ(a.end_time, b.end_time);
 }
 
 TEST(ApiSession, ExploreFig2ReproducesTable1JointCost) {
@@ -115,17 +118,16 @@ TEST(ApiSession, BatchIsolatesFailingScenarios) {
   ASSERT_TRUE(fig1.ok());
 
   // Middle request uses a bogus handle: its slot fails, neighbors succeed.
-  const auto runs = session.simulate_batch({{.model = fig1.value().id},
-                                            {.model = ModelId{9999}},
-                                            {.model = fig1.value().id}});
+  const auto runs = session.call_batch(envelopes(
+      {{.model = fig1.value().id}, {.model = ModelId{9999}}, {.model = fig1.value().id}}));
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_TRUE(runs[0].ok());
   EXPECT_FALSE(runs[1].ok());
   EXPECT_TRUE(runs[1].diagnostics().has_code(api::diag::kUnknownModel));
   EXPECT_TRUE(runs[2].ok());
 
-  const auto explores = session.explore_batch({{.model = fig1.value().id},
-                                               {.model = ModelId{9999}}});
+  const auto explores = session.call_batch(envelopes<api::ExploreRequest>(
+      {{.model = fig1.value().id}, {.model = ModelId{9999}}}));
   ASSERT_EQ(explores.size(), 2u);
   EXPECT_TRUE(explores[0].ok());
   EXPECT_FALSE(explores[1].ok());
@@ -143,12 +145,14 @@ TEST(ApiSession, BatchSeedSweepIsDeterministic) {
     request.options.seed = seed;
     sweep.push_back(request);
   }
-  const auto a = session.simulate_batch(sweep);
-  const auto b = session.simulate_batch(sweep);
+  const auto a = session.call_batch(envelopes(sweep));
+  const auto b = session.call_batch(envelopes(sweep));
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     ASSERT_TRUE(a[i].ok() && b[i].ok());
-    EXPECT_EQ(a[i].value().result.total_firings, b[i].value().result.total_firings);
-    EXPECT_EQ(a[i].value().result.end_time, b[i].value().result.end_time);
+    const auto& ra = response_of<api::SimulateResponse>(a[i]).result;
+    const auto& rb = response_of<api::SimulateResponse>(b[i]).result;
+    EXPECT_EQ(ra.total_firings, rb.total_firings);
+    EXPECT_EQ(ra.end_time, rb.end_time);
   }
 }
 

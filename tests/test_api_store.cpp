@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "envelope_helpers.hpp"
 
 namespace spivar {
 namespace {
@@ -22,17 +23,6 @@ namespace {
 using api::ModelStore;
 using api::Session;
 using api::UnloadStatus;
-
-template <typename T>
-std::string render_batch(const std::vector<api::Result<T>>& results) {
-  std::string out;
-  for (const auto& result : results) {
-    out += result.ok() ? api::render(result.value())
-                       : api::render_diagnostics(result.diagnostics());
-    out += "\n---\n";
-  }
-  return out;
-}
 
 // --- sharding: many sessions over one store ----------------------------------
 
@@ -81,7 +71,7 @@ TEST(ModelStoreSharding, TwoSessionsRunConcurrentBatchesOverOneStore) {
     request.options.seed = seed;
     batch.push_back(request);
   }
-  const std::string expected = render_batch(loader.simulate_batch(batch));
+  const std::string expected = render_batch(loader.call_batch(envelopes(batch)));
 
   // Two pooled sessions shard the same snapshots from two caller threads —
   // the TSAN-audited hot path. Results stay bit-identical to serial.
@@ -90,9 +80,9 @@ TEST(ModelStoreSharding, TwoSessionsRunConcurrentBatchesOverOneStore) {
   std::string observed_a;
   std::string observed_b;
   std::thread caller_a(
-      [&] { observed_a = render_batch(shard_a.simulate_batch(batch)); });
+      [&] { observed_a = render_batch(shard_a.call_batch(envelopes(batch))); });
   std::thread caller_b(
-      [&] { observed_b = render_batch(shard_b.simulate_batch(batch)); });
+      [&] { observed_b = render_batch(shard_b.call_batch(envelopes(batch))); });
   caller_a.join();
   caller_b.join();
   EXPECT_EQ(observed_a, expected);
@@ -134,31 +124,31 @@ TEST(ModelStoreIsolation, InFlightBatchSurvivesConcurrentUnload) {
     request.options.seed = seed;
     batch.push_back(request);
   }
-  const std::string expected = render_batch(session.simulate_batch(batch));
+  const std::string expected = render_batch(session.call_batch(envelopes(batch)));
 
   // Snapshots are resolved at submit time: unloading while the batch is in
   // flight must not affect a single slot.
-  auto handle = session.submit_simulate_batch(batch);
+  auto handle = session.submit(envelopes(batch));
   EXPECT_EQ(session.unload(loaded.value().id), UnloadStatus::kUnloaded);
   EXPECT_EQ(render_batch(handle.wait()), expected);
 
   // New work, by contrast, sees the tombstone.
   EXPECT_FALSE(session.simulate({.model = loaded.value().id}).ok());
-  const auto late = session.submit_simulate_batch({batch[0]}).wait();
+  const auto late = session.submit(envelopes({batch[0]})).wait();
   ASSERT_EQ(late.size(), 1u);
   EXPECT_TRUE(late[0].diagnostics().has_code(api::diag::kUnknownModel));
 }
 
 TEST(ModelStoreIsolation, HandlesOutliveTheSession) {
-  api::BatchHandle<api::SimulateResponse> handle;
+  api::BatchHandle<api::AnyResponse> handle;
   std::string expected;
   {
     Session session{api::make_executor(2)};
     const auto loaded = session.load_builtin("fig1");
     ASSERT_TRUE(loaded.ok());
     std::vector<api::SimulateRequest> batch(4, {.model = loaded.value().id});
-    expected = render_batch(session.simulate_batch(batch));
-    handle = session.submit_simulate_batch(batch);
+    expected = render_batch(session.call_batch(envelopes(batch)));
+    handle = session.submit(envelopes(batch));
     // The session (and its store reference) dies here with the batch
     // possibly still in flight; slots captured their snapshots.
   }
@@ -177,9 +167,9 @@ TEST(StreamingBatch, SlotsLandBeforeTheBatchCompletes) {
   ASSERT_TRUE(quick.ok() && slow.ok());
 
   std::atomic<std::size_t> streamed{0};
-  auto handle = session.submit_simulate_batch(
-      {{.model = quick.value().id}, {.model = slow.value().id}},
-      [&streamed](std::size_t, const api::Result<api::SimulateResponse>& r) {
+  auto handle = session.submit(
+      envelopes({{.model = quick.value().id}, {.model = slow.value().id}}),
+      [&streamed](std::size_t, const api::Result<api::AnyResponse>& r) {
         EXPECT_TRUE(r.ok());
         ++streamed;
       });
@@ -207,11 +197,11 @@ TEST(StreamingBatch, CancelMidBatchDiagnosesUntouchedSlots) {
   ASSERT_TRUE(loaded.ok());
 
   std::vector<api::SimulateRequest> batch(4, {.model = loaded.value().id});
-  api::BatchHandle<api::SimulateResponse> handle;
+  api::BatchHandle<api::AnyResponse> handle;
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
-  handle = session.submit_simulate_batch(
-      batch, [&handle, ready](std::size_t slot, const api::Result<api::SimulateResponse>&) {
+  handle = session.submit(
+      envelopes(batch), [&handle, ready](std::size_t slot, const api::Result<api::AnyResponse>&) {
         if (slot == 0) {
           ready.wait();     // the submitting thread has assigned `handle`
           handle.cancel();  // cancel from inside the stream
@@ -242,8 +232,8 @@ TEST(StreamingBatch, ThrowingCallbackStillLandsEverySlot) {
   // on_slot is a progress stream: a throwing callback must neither escape
   // the session boundary nor leave promises unfulfilled.
   std::atomic<std::size_t> streamed{0};
-  auto handle = session.submit_simulate_batch(
-      batch, [&streamed](std::size_t, const api::Result<api::SimulateResponse>&) {
+  auto handle = session.submit(
+      envelopes(batch), [&streamed](std::size_t, const api::Result<api::AnyResponse>&) {
         ++streamed;
         throw std::runtime_error("front end hiccup");
       });
@@ -255,7 +245,7 @@ TEST(StreamingBatch, ThrowingCallbackStillLandsEverySlot) {
 }
 
 TEST(StreamingBatch, BlockingBatchNestedInsideAPoolTaskCompletes) {
-  // A blocking simulate_batch issued from *inside* a pool task (here: an
+  // A blocking call_batch issued from *inside* a pool task (here: an
   // on_slot callback running on the single worker) must make progress —
   // the blocking entry points participate in their own batch instead of
   // parking the worker on futures nobody will fulfil.
@@ -266,10 +256,10 @@ TEST(StreamingBatch, BlockingBatchNestedInsideAPoolTaskCompletes) {
 
   std::vector<api::SimulateRequest> inner(3, {.model = loaded.value().id});
   std::atomic<std::size_t> inner_ok{0};
-  auto handle = session.submit_simulate_batch(
-      {{.model = loaded.value().id}},
-      [&session, &inner, &inner_ok](std::size_t, const api::Result<api::SimulateResponse>&) {
-        for (const auto& result : session.simulate_batch(inner)) {
+  auto handle = session.submit(
+      envelopes({{.model = loaded.value().id}}),
+      [&session, &inner, &inner_ok](std::size_t, const api::Result<api::AnyResponse>&) {
+        for (const auto& result : session.call_batch(envelopes(inner))) {
           if (result.ok()) ++inner_ok;
         }
       });
@@ -299,7 +289,7 @@ TEST(StreamingBatch, WaitAfterCancelNeverHangsWhenCancelRacesCompletion) {
   }
 
   for (int round = 0; round < 16; ++round) {
-    auto handle = session.submit_simulate_batch(requests);
+    auto handle = session.submit(envelopes(requests));
     std::thread canceller{[&handle] { handle.cancel(); }};
 
     // Per-slot deadline so a lost slot fails the test instead of freezing
@@ -316,7 +306,7 @@ TEST(StreamingBatch, WaitAfterCancelNeverHangsWhenCancelRacesCompletion) {
     std::size_t cancelled = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
-        EXPECT_GT(results[i].value().result.total_firings, 0) << i;
+        EXPECT_GT(response_of<api::SimulateResponse>(results[i]).result.total_firings, 0) << i;
       } else {
         EXPECT_TRUE(results[i].diagnostics().has_code(api::diag::kCancelled)) << i;
         ++cancelled;
@@ -340,13 +330,13 @@ TEST(StreamingBatch, CancelFromOnSlotRacingManyWorkersLandsEverySlot) {
   ASSERT_TRUE(loaded.ok());
   std::vector<api::SimulateRequest> batch(24, {.model = loaded.value().id});
 
-  api::BatchHandle<api::SimulateResponse> handle;
+  api::BatchHandle<api::AnyResponse> handle;
   std::atomic<std::size_t> streamed{0};
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
-  handle = session.submit_simulate_batch(
-      batch, [&handle, &streamed, ready](std::size_t slot,
-                                         const api::Result<api::SimulateResponse>&) {
+  handle = session.submit(
+      envelopes(batch), [&handle, &streamed, ready](std::size_t slot,
+                                         const api::Result<api::AnyResponse>&) {
         ++streamed;
         if (slot % 5 == 0) {
           ready.wait();
@@ -369,7 +359,7 @@ TEST(StreamingBatch, CancelAfterCompletionIsANoOp) {
   Session session;
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
-  auto handle = session.submit_simulate_batch({{.model = loaded.value().id}});
+  auto handle = session.submit(envelopes({{.model = loaded.value().id}}));
   const auto results = handle.wait();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].ok());
@@ -399,7 +389,7 @@ TEST(ModelStoreContract, TombstonesNeverForgetAndIdsAreNeverReused) {
 
 TEST(ModelStoreContract, EmptySubmitCompletesImmediately) {
   Session session{api::make_executor(2)};
-  auto handle = session.submit_simulate_batch({});
+  auto handle = session.submit({});
   EXPECT_TRUE(handle.done());
   EXPECT_EQ(handle.size(), 0u);
   EXPECT_TRUE(handle.wait().empty());

@@ -1,8 +1,9 @@
 // The observability subsystem: registry get-or-create semantics and exact
 // totals under concurrent writers (the TSAN target), collectors republishing
 // per render, tracer ring/slow-log idempotence, span propagation through a
-// pipelined v2 burst surfaced by the `trace` and `metrics` controls, and the
-// --metrics-port HTTP responder end to end.
+// pipelined v2 burst surfaced by the `trace` and `metrics` controls, every
+// frame shape (v1, v2, batch slot, ordered replay) taking the one request
+// path, and the --metrics-port HTTP responder end to end.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -273,6 +274,64 @@ TEST(ObsServe, PipelinedBurstSurfacesSpansAndMetrics) {
       << metrics;
   // No persistent tier configured: the disk series stay out of the scrape.
   EXPECT_EQ(metrics.find("spivar_cache_disk_"), std::string::npos) << metrics;
+}
+
+TEST(ObsServe, EveryFrameShapeTakesTheOneRequestPath) {
+  // The same simulate as a v1 frame, a live v2 frame, a batch slot and a
+  // v2 frame of an ordered (--replay/--warm) stream: one request path, so
+  // one reply body, one request counted, and the same spans — the frame
+  // shape only decides how the reply is delivered.
+  const api::AnyRequest request = simulate_envelope("fig1");
+  struct Shape {
+    const char* name;
+    std::string input;
+    service::Service::StreamMode mode;
+  };
+  const Shape shapes[] = {
+      {"v1", api::wire::encode(request), service::Service::StreamMode::kPipelined},
+      {"v2", api::wire::encode(request, 7), service::Service::StreamMode::kPipelined},
+      {"batch", api::wire::batch_header(1) + api::wire::encode(request),
+       service::Service::StreamMode::kPipelined},
+      {"ordered", api::wire::encode(request, 7), service::Service::StreamMode::kOrdered},
+  };
+  std::vector<std::string> bodies;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    service::Service svc{{.jobs = 2, .cache = 64}};
+    std::istringstream in{shape.input};
+    std::ostringstream out;
+    svc.serve_stream(in, out, shape.mode);
+
+    // The reply body, re-encoded untagged: v2 ids and the batch header are
+    // delivery, not content.
+    std::istringstream replies{out.str()};
+    std::vector<std::string> responses;
+    while (const auto frame = api::wire::read_frame(replies)) {
+      if (api::wire::parse_batch_header(*frame)) continue;
+      responses.push_back(api::wire::encode(api::wire::decode_response(*frame)));
+    }
+    ASSERT_EQ(responses.size(), 1u) << out.str();
+    bodies.push_back(responses.front());
+
+    std::string controls;
+    controls += api::wire::control_frame("trace", {"last"});
+    controls += api::wire::control_frame("metrics", {});
+    std::istringstream control_in{controls};
+    std::ostringstream control_out;
+    svc.serve_stream(control_in, control_out);
+    const auto infos = parse_info_replies(control_out.str());
+    ASSERT_EQ(infos.size(), 2u) << control_out.str();
+    const std::string& trace = infos[0];
+    EXPECT_NE(trace.find("span queue-wait"), std::string::npos) << trace;
+    EXPECT_NE(trace.find("span cache-probe"), std::string::npos) << trace;
+    EXPECT_NE(trace.find("span eval"), std::string::npos) << trace;
+    EXPECT_NE(infos[1].find("spivar_requests_total{tenant=\"default\",kind=\"simulate\"} 1\n"),
+              std::string::npos)
+        << infos[1];
+  }
+  ASSERT_EQ(bodies.size(), 4u);
+  EXPECT_TRUE(api::wire::decode_response(bodies[0]).ok()) << bodies[0];
+  for (std::size_t i = 1; i < bodies.size(); ++i) EXPECT_EQ(bodies[i], bodies[0]) << shapes[i].name;
 }
 
 TEST(ObsServe, TraceControlBeforeTrafficReportsEmptyRing) {

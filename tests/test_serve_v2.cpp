@@ -151,8 +151,9 @@ TEST(PipelinedServe, BackpressureEngagesAtMaxInflight) {
 TEST(PipelinedServe, V1ClientsKeepStrictArrivalOrder) {
   service::Service svc{{.jobs = 4}};
 
-  // v1 frames on a pipelining-capable server: handled inline, answered in
-  // arrival order, replies untagged — indistinguishable from protocol v1.
+  // v1 frames on a pipelining-capable server: the reader waits for each
+  // reply, so they are answered in arrival order, replies untagged —
+  // indistinguishable from protocol v1.
   std::string input;
   input += api::wire::encode(simulate_envelope("fig2", 1));
   input += api::wire::encode(simulate_envelope("fig1", 2));

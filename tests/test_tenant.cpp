@@ -284,11 +284,17 @@ TEST(Admission, FreshWindowAdmitsAProbeSoDrainIsNoticed) {
   auto store = std::make_shared<ModelStore>();
   auto executor = api::make_executor(1);
   api::Session session{store, executor};
-  const auto admission = std::make_shared<api::AdmissionController>(api::AdmissionConfig{
-      .max_miss_rate = 0.5,
-      .window = std::chrono::milliseconds{50},
-      .min_samples = 1,
-  });
+  // A stepped clock: the window expires when the test says so, never
+  // because a slow (sanitized) build took longer than the window to run
+  // the warmup.
+  auto now = std::make_shared<std::chrono::steady_clock::time_point>();
+  const auto admission = std::make_shared<api::AdmissionController>(
+      api::AdmissionConfig{
+          .max_miss_rate = 0.5,
+          .window = std::chrono::milliseconds{50},
+          .min_samples = 1,
+      },
+      [now] { return *now; });
   session.bind_tenant(nullptr, admission);
 
   std::vector<api::AnyRequest> warmup;
@@ -306,7 +312,7 @@ TEST(Admission, FreshWindowAdmitsAProbeSoDrainIsNoticed) {
   // ...but once the window rolls over, the next request is the fresh
   // window's probe and must be admitted — this is how the controller
   // notices the queue has drained.
-  std::this_thread::sleep_for(std::chrono::milliseconds{60});
+  *now += std::chrono::milliseconds{60};
   EXPECT_TRUE(session.call(simulate_envelope("fig1")).ok());
 }
 

@@ -70,6 +70,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -114,21 +115,10 @@ bool has_flag(const std::vector<std::string>& flags, const std::string& name) {
   return false;
 }
 
-/// Value following `name`, or nullopt when the flag is absent. Callers run
-/// check_flags() first — it owns the "a value must follow" rule — so only a
-/// bounds guard remains here.
-std::optional<std::string> flag_value(const std::vector<std::string>& flags,
-                                      const std::string& name) {
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    if (flags[i] != name) continue;
-    if (i + 1 >= flags.size()) throw UsageError("'" + name + "' requires a value");
-    return flags[i + 1];
-  }
-  return std::nullopt;
-}
-
 /// Every value following an occurrence of `name` — for repeatable flags
-/// ("--opt frames=100 --opt region=2").
+/// ("--opt frames=100 --opt region=2"). Callers run check_flags() first —
+/// it owns the "a value must follow" rule — so only a bounds guard remains
+/// here.
 std::vector<std::string> flag_values(const std::vector<std::string>& flags,
                                      const std::string& name) {
   std::vector<std::string> values;
@@ -140,15 +130,23 @@ std::vector<std::string> flag_values(const std::vector<std::string>& flags,
   return values;
 }
 
+/// The value following `name`, or nullopt when the flag is absent.
+std::optional<std::string> flag_value(const std::vector<std::string>& flags,
+                                      const std::string& name) {
+  std::vector<std::string> values = flag_values(flags, name);
+  if (values.empty()) return std::nullopt;
+  return std::move(values.front());
+}
+
 /// Rejects tokens the command does not understand: unknown --flags, the
 /// unsupported --flag=value spelling, and stray positional arguments.
 /// `value_flags` consume the following token; "--opt" is the one value flag
 /// that may repeat.
 void check_flags(const std::vector<std::string>& flags,
-                 std::initializer_list<const char*> bool_flags,
-                 std::initializer_list<const char*> value_flags) {
-  const auto matches = [](std::initializer_list<const char*> set, const std::string& flag) {
-    for (const char* candidate : set) {
+                 const std::vector<std::string_view>& bool_flags,
+                 const std::vector<std::string_view>& value_flags) {
+  const auto matches = [](const std::vector<std::string_view>& set, const std::string& flag) {
+    for (const std::string_view candidate : set) {
       if (flag == candidate) return true;
     }
     return false;
@@ -266,12 +264,20 @@ int cmd_validate(api::Session& session, api::ModelId model) {
   return result.value().has_errors() ? 1 : 0;
 }
 
-// The build_* functions turn a command's flags into its request (model
-// handle unset) and the print_* functions render a response plus the exit
-// verdict — shared verbatim by the local commands and the `remote` client,
-// which is what makes a remote reply byte-identical to the local output.
+// The build_* functions turn a command's flags into its request payload
+// (model handle unset) and the print() overloads render a response plus the
+// exit verdict — shared verbatim by the local commands and the `remote`
+// client, which is what makes a remote reply byte-identical to the local
+// output.
 
-api::SimulateRequest build_simulate_request(const std::vector<std::string>& flags) {
+void check_exclusive(const std::vector<std::string>& flags, const char* a, const char* b) {
+  if (has_flag(flags, a) && has_flag(flags, b)) {
+    throw UsageError(std::string{"'"} + a + "' and '" + b + "' are mutually exclusive");
+  }
+}
+
+api::RequestPayload build_simulate_request(const std::vector<std::string>& flags) {
+  check_exclusive(flags, "--upper", "--random");
   api::SimulateRequest request;
   request.options.record_trace = has_flag(flags, "--trace");
   request.render_timeline = has_flag(flags, "--timeline");
@@ -283,7 +289,7 @@ api::SimulateRequest build_simulate_request(const std::vector<std::string>& flag
   return request;
 }
 
-int print_simulate(const api::SimulateResponse& response, const std::vector<std::string>& flags) {
+int print(const api::SimulateResponse& response, const std::vector<std::string>& flags) {
   std::cout << api::render(response);
   const auto& r = response.result;
 
@@ -303,16 +309,7 @@ int print_simulate(const api::SimulateResponse& response, const std::vector<std:
   return r.quiescent || r.hit_limit ? 0 : 1;
 }
 
-int cmd_simulate(api::Session& session, api::ModelId model,
-                 const std::vector<std::string>& flags) {
-  api::SimulateRequest request = build_simulate_request(flags);
-  request.model = model;
-  const auto result = session.simulate(request);
-  if (report_failure(result)) return 1;
-  return print_simulate(result.value(), flags);
-}
-
-int print_analyze(const api::AnalyzeResponse& response) {
+int print(const api::AnalyzeResponse& response, const std::vector<std::string>&) {
   std::cout << api::render(response);
   // Verdict in the exit code, like every other subcommand: nonzero when a
   // requested pass found a problem (deadlock, or an unguaranteed latency
@@ -324,10 +321,10 @@ int print_analyze(const api::AnalyzeResponse& response) {
   return bad ? 1 : 0;
 }
 
-int cmd_analyze(api::Session& session, const api::AnalyzeRequest& request) {
-  const auto result = session.analyze(request);
-  if (report_failure(result)) return 1;
-  return print_analyze(result.value());
+api::RequestPayload build_analyze_request(const std::vector<std::string>& flags) {
+  api::AnalyzeRequest request;
+  request.include_reconfiguration = has_flag(flags, "--reconf");
+  return request;
 }
 
 int cmd_deadlock(api::Session& session, api::ModelId model) {
@@ -350,32 +347,27 @@ synth::ExploreEngine parse_engine(const std::string& name) {
   throw UsageError("unknown engine '" + name + "' (greedy|exhaustive|annealing)");
 }
 
-api::ExploreRequest build_explore_request(const std::vector<std::string>& flags) {
+synth::ProblemOptions granularity(const std::vector<std::string>& flags) {
+  check_exclusive(flags, "--process", "--cluster");
+  if (has_flag(flags, "--process")) {
+    return synth::ProblemOptions{.granularity = synth::ElementGranularity::kProcess};
+  }
+  return synth::ProblemOptions{.granularity = synth::ElementGranularity::kClusterAtomic};
+}
+
+api::RequestPayload build_explore_request(const std::vector<std::string>& flags) {
   api::ExploreRequest request;
   request.options.engine = parse_engine(flag_value(flags, "--engine").value_or("greedy"));
   request.options.seed = parse_u64(flag_value(flags, "--seed").value_or("1"), "--seed");
-  if (has_flag(flags, "--process")) {
-    request.problem = synth::ProblemOptions{.granularity = synth::ElementGranularity::kProcess};
-  }
-  if (has_flag(flags, "--cluster")) {
-    request.problem =
-        synth::ProblemOptions{.granularity = synth::ElementGranularity::kClusterAtomic};
+  if (has_flag(flags, "--process") || has_flag(flags, "--cluster")) {
+    request.problem = granularity(flags);
   }
   return request;
 }
 
-int print_explore(const api::ExploreResponse& response) {
+int print(const api::ExploreResponse& response, const std::vector<std::string>&) {
   std::cout << api::render(response);
   return response.result.found_feasible ? 0 : 1;
-}
-
-int cmd_explore(api::Session& session, api::ModelId model,
-                const std::vector<std::string>& flags) {
-  api::ExploreRequest request = build_explore_request(flags);
-  request.model = model;
-  const auto result = session.explore(request);
-  if (report_failure(result)) return 1;
-  return print_explore(result.value());
 }
 
 std::vector<synth::StrategyKind> parse_strategies(const std::string& list) {
@@ -415,7 +407,7 @@ std::vector<synth::RankObjective> parse_rank(const std::string& list) {
   return objectives;
 }
 
-api::CompareRequest build_compare_request(const std::vector<std::string>& flags) {
+api::RequestPayload build_compare_request(const std::vector<std::string>& flags) {
   api::CompareRequest request;
   request.options.engine = parse_engine(flag_value(flags, "--engine").value_or("exhaustive"));
   request.options.seed = parse_u64(flag_value(flags, "--seed").value_or("1"), "--seed");
@@ -426,17 +418,13 @@ api::CompareRequest build_compare_request(const std::vector<std::string>& flags)
   if (const auto list = flag_value(flags, "--rank")) {
     request.objectives = parse_rank(*list);
   }
-  if (has_flag(flags, "--process")) {
-    request.problem = synth::ProblemOptions{.granularity = synth::ElementGranularity::kProcess};
-  }
-  if (has_flag(flags, "--cluster")) {
-    request.problem =
-        synth::ProblemOptions{.granularity = synth::ElementGranularity::kClusterAtomic};
+  if (has_flag(flags, "--process") || has_flag(flags, "--cluster")) {
+    request.problem = granularity(flags);
   }
   return request;
 }
 
-int print_compare(const api::CompareResponse& response) {
+int print(const api::CompareResponse& response, const std::vector<std::string>&) {
   std::cout << api::render(response);
   // Verdict: the winning system strategy must be feasible; a subset with
   // only per-application rows (e.g. --strategies independent) succeeds
@@ -448,49 +436,16 @@ int print_compare(const api::CompareResponse& response) {
   return 0;
 }
 
-int cmd_compare(api::Session& session, api::ModelId model,
-                const std::vector<std::string>& flags) {
-  api::CompareRequest request = build_compare_request(flags);
-  request.model = model;
-
-  // --stream submits through the async surface and reports progress on
-  // stderr as slots land (the rendered table on stdout stays stable).
-  api::Result<api::CompareResponse> result = [&] {
-    if (!has_flag(flags, "--stream")) return session.compare(request);
-    const auto started = std::chrono::steady_clock::now();
-    auto handle = session.submit_compare(
-        {request}, [&started](std::size_t slot, const api::Result<api::CompareResponse>& r) {
-          const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now() - started)
-                              .count();
-          std::cerr << "compare slot " << slot << (r.ok() ? " landed" : " failed") << " after "
-                    << ms << " ms\n";
-        });
-    return std::move(handle.wait().front());
-  }();
-  if (report_failure(result)) return 1;
-  return print_compare(result.value());
-}
-
-api::ParetoRequest build_pareto_request(const std::vector<std::string>& flags) {
+api::RequestPayload build_pareto_request(const std::vector<std::string>& flags) {
   api::ParetoRequest request;
   request.options.samples = parse_u64(flag_value(flags, "--samples").value_or("4096"), "--samples");
   request.options.seed = parse_u64(flag_value(flags, "--seed").value_or("1"), "--seed");
   return request;
 }
 
-int print_pareto(const api::ParetoResponse& response) {
+int print(const api::ParetoResponse& response, const std::vector<std::string>&) {
   std::cout << api::render(response);
   return response.points.empty() ? 1 : 0;
-}
-
-int cmd_pareto(api::Session& session, api::ModelId model,
-               const std::vector<std::string>& flags) {
-  api::ParetoRequest request = build_pareto_request(flags);
-  request.model = model;
-  const auto result = session.pareto(request);
-  if (report_failure(result)) return 1;
-  return print_pareto(result.value());
 }
 
 api::SubmitOptions parse_submit_options(const std::vector<std::string>& flags) {
@@ -506,43 +461,133 @@ api::SubmitOptions parse_submit_options(const std::vector<std::string>& flags) {
   return options;
 }
 
+/// Renders any reply through the print() overload of its kind.
+int print_response(const api::AnyResponse& response, const std::vector<std::string>& flags) {
+  return std::visit([&](const auto& typed) { return print(typed, flags); }, response);
+}
+
+/// One eval command's flag table, shared by the local command and its
+/// `remote` twin so both build the same envelope from the same flags. Both
+/// modes accept repeated `--opt`; the local mode adds `--cache` (plus
+/// `--jobs`/`--stream` when the command fans out across the executor), the
+/// remote mode adds the slot's `--priority`/`--deadline-ms`.
+struct EvalCommand {
+  std::string_view name;
+  std::vector<std::string_view> bools;
+  std::vector<std::string_view> values;
+  bool fans_out;  ///< strategy runs dispatch across the executor (compare)
+  api::RequestPayload (*build)(const std::vector<std::string>& flags);
+};
+
+const EvalCommand* find_eval_command(std::string_view name) {
+  static const std::vector<EvalCommand> commands{
+      {"simulate", {"--trace", "--timeline", "--upper"}, {"--random"}, false,
+       &build_simulate_request},
+      {"analyze", {"--reconf"}, {}, false, &build_analyze_request},
+      {"explore", {"--process", "--cluster"}, {"--engine", "--seed"}, false,
+       &build_explore_request},
+      {"pareto", {}, {"--samples", "--seed"}, false, &build_pareto_request},
+      {"compare", {"--all-orders", "--process", "--cluster"},
+       {"--engine", "--seed", "--strategies", "--rank"}, true, &build_compare_request},
+  };
+  for (const EvalCommand& command : commands) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
+enum class Mode { kLocal, kRemote };
+
+/// The envelope for one eval segment: flags checked against the command's
+/// table for `mode`, the payload built from them, and the model named by
+/// target spec with its `--opt` assignments as target options.
+api::AnyRequest build_envelope(const EvalCommand& command, const std::string& spec,
+                               const std::vector<std::string>& flags, Mode mode) {
+  std::vector<std::string_view> bools = command.bools;
+  std::vector<std::string_view> values = command.values;
+  values.push_back("--opt");
+  if (mode == Mode::kLocal) {
+    values.push_back("--cache");
+    if (command.fans_out) {
+      bools.push_back("--stream");
+      values.push_back("--jobs");
+    }
+  } else {
+    values.insert(values.end(), {"--priority", "--deadline-ms"});
+  }
+  check_flags(flags, bools, values);
+  api::AnyRequest envelope;
+  envelope.payload = command.build(flags);
+  envelope.target = spec;
+  envelope.target_options = flag_values(flags, "--opt");
+  envelope.options = parse_submit_options(flags);
+  return envelope;
+}
+
+/// Evaluates one envelope locally and prints the reply through the same
+/// print() overloads the remote client uses. `--stream` submits through the
+/// async surface and reports the slot landing on stderr (the rendered
+/// output on stdout stays the same).
+int evaluate(const api::Session& session, api::AnyRequest envelope,
+             const std::vector<std::string>& flags) {
+  api::Result<api::AnyResponse> result = [&] {
+    if (!has_flag(flags, "--stream")) return session.call(envelope);
+    const auto started = std::chrono::steady_clock::now();
+    const char* kind = api::to_string(api::kind_of(envelope));
+    std::vector<api::AnyRequest> one;
+    one.push_back(std::move(envelope));
+    auto handle = session.submit(
+        std::move(one),
+        [&started, kind](std::size_t slot, const api::Result<api::AnyResponse>& r) {
+          const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+          std::cerr << kind << " slot " << slot << (r.ok() ? " landed" : " failed")
+                    << " after " << ms << " ms\n";
+        });
+    return std::move(handle.wait().front());
+  }();
+  if (report_failure(result)) return 1;
+  return print_response(result.value(), flags);
+}
+
 /// Seed-sweep simulate batch over every listed model, submitted through the
 /// streaming surface. Slots land in any order (--stream shows them as they
 /// do, on stderr); the stdout table is always in slot order, bit-identical
 /// to a serial run. --priority/--deadline-ms pick the batch's scheduling
 /// band on the executor.
 int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
-              const std::vector<std::string>& names, const std::vector<std::string>& flags) {
-  const std::uint64_t sims = parse_u64(flag_value(flags, "--sims").value_or("4"), "--sims");
-  if (sims == 0) throw UsageError("'--sims' must be at least 1");
-  const api::SubmitOptions submit_options = parse_submit_options(flags);
-
-  std::vector<api::SimulateRequest> requests;
+              const std::vector<std::string>& names, std::uint64_t sims,
+              const api::SubmitOptions& submit_options, bool stream) {
+  std::vector<api::AnyRequest> requests;
   requests.reserve(models.size() * sims);
   for (const api::ModelId model : models) {
     for (std::uint64_t seed = 1; seed <= sims; ++seed) {
       api::SimulateRequest request{.model = model};
       request.options.resolution = sim::Resolution::kRandom;
       request.options.seed = seed;
-      requests.push_back(request);
+      requests.emplace_back().payload = request;
+      requests.back().options = submit_options;
     }
   }
+  const std::size_t total = requests.size();
 
-  api::SlotCallback<api::SimulateResponse> on_slot;
+  api::SlotCallback<api::AnyResponse> on_slot;
   const auto started = std::chrono::steady_clock::now();
-  if (has_flag(flags, "--stream")) {
-    const std::size_t total = requests.size();
-    on_slot = [&started, total](std::size_t slot, const api::Result<api::SimulateResponse>& r) {
+  if (stream) {
+    on_slot = [&started, total](std::size_t slot, const api::Result<api::AnyResponse>& r) {
       const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::steady_clock::now() - started)
                           .count();
       std::cerr << "slot " << slot << "/" << total << (r.ok() ? " landed" : " failed")
                 << " after " << ms << " ms"
-                << (r.ok() ? " (" + r.value().model + ")" : std::string{}) << "\n";
+                << (r.ok() ? " (" + std::get<api::SimulateResponse>(r.value()).model + ")"
+                           : std::string{})
+                << "\n";
     };
   }
 
-  auto handle = session.submit_simulate_batch(requests, std::move(on_slot), submit_options);
+  auto handle = session.submit(std::move(requests), std::move(on_slot));
   const auto results = handle.wait();
 
   support::TextTable table{{"slot", "model", "seed", "firings", "end time", "status"}};
@@ -551,7 +596,7 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
     const std::string& name = names[i / sims];
     const std::uint64_t seed = i % sims + 1;
     if (results[i].ok()) {
-      const auto& r = results[i].value().result;
+      const auto& r = std::get<api::SimulateResponse>(results[i].value()).result;
       table.add_row({std::to_string(i), name, std::to_string(seed),
                      std::to_string(r.total_firings),
                      std::to_string(r.end_time.count()) + "us", "ok"});
@@ -562,7 +607,7 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
     }
   }
   std::cout << table;
-  std::cout << requests.size() << " slots over " << models.size() << " model(s), executor "
+  std::cout << total << " slots over " << models.size() << " model(s), executor "
             << session.executor().name() << "\n";
   return all_ok ? 0 : 1;
 }
@@ -598,13 +643,14 @@ int cmd_selfcheck() {
     return 1;
   }
 
-  const auto batch = session.simulate_batch({{.model = original.value().id},
-                                             {.model = reparsed.value().id}});
+  const auto batch =
+      session.call_batch({{.payload = api::SimulateRequest{.model = original.value().id}},
+                          {.payload = api::SimulateRequest{.model = reparsed.value().id}}});
   for (const auto& run : batch) {
     if (report_failure(run)) return 1;
   }
-  const auto& ra = batch[0].value().result;
-  const auto& rb = batch[1].value().result;
+  const auto& ra = std::get<api::SimulateResponse>(batch[0].value()).result;
+  const auto& rb = std::get<api::SimulateResponse>(batch[1].value()).result;
   if (ra.total_firings != rb.total_firings || ra.end_time != rb.end_time) {
     std::cerr << "selfcheck: behavior differs after round-trip\n";
     return 1;
@@ -690,8 +736,9 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
     const std::vector<std::string> flags(rest.begin() + first_flag, rest.end());
     check_flags(flags, {"--stream"},
                 {"--sims", "--jobs", "--opt", "--cache", "--priority", "--deadline-ms"});
-    (void)parse_u64(flag_value(flags, "--sims").value_or("4"), "--sims");
-    (void)parse_submit_options(flags);
+    const std::uint64_t sims = parse_u64(flag_value(flags, "--sims").value_or("4"), "--sims");
+    if (sims == 0) throw UsageError("'--sims' must be at least 1");
+    const api::SubmitOptions submit_options = parse_submit_options(flags);
     apply_cache_flag(ctx, flags);
     const std::size_t jobs = parse_u64(flag_value(flags, "--jobs").value_or("1"), "--jobs");
     api::Session session{ctx.store, ctx.executor_for(jobs)};
@@ -705,7 +752,7 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
       if (report_failure(loaded)) return 1;
       models.push_back(loaded.value().id);
     }
-    return cmd_batch(session, models, specs, flags);
+    return cmd_batch(session, models, specs, sims, submit_options, has_flag(flags, "--stream"));
   }
 
   // Reject unknown commands before touching the model argument, so a typoed
@@ -724,54 +771,24 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
   }
   const std::vector<std::string> flags(rest.begin() + 1, rest.end());
 
-  // Validate the flags — names, exclusions, and values — before the
+  // Flags are checked — names, exclusions, and values — before the
   // (potentially expensive) model load, so a typoed option fails
-  // immediately. The cmd_* handlers re-run the same parse helpers to
-  // consume the values; the rules live in one place.
-  const auto prevalidate_u64 = [&flags](const char* flag) {
-    if (const auto value = flag_value(flags, flag)) (void)parse_u64(*value, flag);
-  };
-  if (command == "simulate") {
-    check_flags(flags, {"--trace", "--timeline", "--upper"}, {"--random", "--opt", "--cache"});
-    if (has_flag(flags, "--upper") && has_flag(flags, "--random")) {
-      throw UsageError("'--upper' and '--random' are mutually exclusive");
-    }
-    prevalidate_u64("--random");
-  } else if (command == "explore") {
-    check_flags(flags, {"--process", "--cluster"}, {"--engine", "--seed", "--opt", "--cache"});
-    if (has_flag(flags, "--process") && has_flag(flags, "--cluster")) {
-      throw UsageError("'--process' and '--cluster' are mutually exclusive");
-    }
-    (void)parse_engine(flag_value(flags, "--engine").value_or("greedy"));
-    prevalidate_u64("--seed");
-  } else if (command == "pareto") {
-    check_flags(flags, {}, {"--samples", "--seed", "--opt", "--cache"});
-    prevalidate_u64("--samples");
-    prevalidate_u64("--seed");
-  } else if (command == "compare") {
-    check_flags(flags, {"--all-orders", "--process", "--cluster", "--stream"},
-                {"--engine", "--seed", "--strategies", "--jobs", "--rank", "--opt", "--cache"});
-    if (has_flag(flags, "--process") && has_flag(flags, "--cluster")) {
-      throw UsageError("'--process' and '--cluster' are mutually exclusive");
-    }
-    (void)parse_engine(flag_value(flags, "--engine").value_or("exhaustive"));
-    if (const auto list = flag_value(flags, "--strategies")) (void)parse_strategies(*list);
-    if (const auto list = flag_value(flags, "--rank")) (void)parse_rank(*list);
-    prevalidate_u64("--seed");
-    prevalidate_u64("--jobs");
-  } else if (command == "timing" || command == "analyze") {
+  // immediately. `--cache N` enables the shared store's result cache for
+  // this and every later segment; `--jobs N` selects this segment's
+  // execution policy; everything else runs identically (results are
+  // deterministic by seed). The session is a view over the invocation's
+  // shared store.
+  const EvalCommand* eval = find_eval_command(command);
+  std::optional<api::AnyRequest> envelope;
+  if (eval != nullptr) {
+    envelope = build_envelope(*eval, rest[0], flags, Mode::kLocal);
+  } else if (command == "timing") {
     check_flags(flags, {"--reconf"}, {"--opt", "--cache"});
   } else {
     // validate/stats/dot/deadlock/buffers/unload take no flags beyond
     // --opt/--cache
     check_flags(flags, {}, {"--opt", "--cache"});
   }
-
-  // `--cache N` enables the shared store's result cache for this and every
-  // later segment; `--jobs N` selects this segment's execution policy for
-  // the batch/compare surface; everything else runs identically (results
-  // are deterministic by seed). The session is a view over the
-  // invocation's shared store.
   apply_cache_flag(ctx, flags);
   const std::size_t jobs = parse_u64(flag_value(flags, "--jobs").value_or("1"), "--jobs");
   api::Session session{ctx.store, ctx.executor_for(jobs)};
@@ -806,11 +823,19 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
 
   // `--opt key=value` loads a built-in with non-default typed options;
   // repeated specs reuse the handle loaded by an earlier segment (unless a
-  // previous segment unloaded it — then the spec cache reloads fresh).
+  // previous segment unloaded it — then the spec cache reloads fresh). An
+  // envelope's target resolves here too, through the invocation's spec
+  // cache rather than the per-segment session's.
   const auto loaded = ctx.specs.resolve(rest[0], flag_values(flags, "--opt"));
   if (report_failure(loaded)) return 1;
   const api::ModelId model = loaded.value().id;
 
+  if (envelope) {
+    api::set_model(envelope->payload, model);
+    envelope->target.clear();
+    envelope->target_options.clear();
+    return evaluate(session, std::move(*envelope), flags);
+  }
   if (command == "validate") return cmd_validate(session, model);
   if (command == "stats") {
     const auto result = session.stats(model);
@@ -818,7 +843,6 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
     std::cout << result.value().to_string() << "\n";
     return 0;
   }
-  if (command == "simulate") return cmd_simulate(session, model, flags);
   if (command == "dot") {
     const auto result = session.dot(model);
     if (report_failure(result)) return 1;
@@ -826,26 +850,15 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
     return 0;
   }
   if (command == "deadlock") return cmd_deadlock(session, model);
+  api::AnalyzeRequest request{.model = model};
+  request.deadlock = request.structure = false;
   if (command == "buffers") {
-    api::AnalyzeRequest request{.model = model};
-    request.deadlock = request.structure = request.timing = false;
-    return cmd_analyze(session, request);
-  }
-  if (command == "timing") {
-    api::AnalyzeRequest request{.model = model};
-    request.deadlock = request.buffers = request.structure = false;
+    request.timing = false;
+  } else {  // timing
+    request.buffers = false;
     request.include_reconfiguration = has_flag(flags, "--reconf");
-    return cmd_analyze(session, request);
   }
-  if (command == "analyze") {
-    api::AnalyzeRequest request{.model = model};
-    request.include_reconfiguration = has_flag(flags, "--reconf");
-    return cmd_analyze(session, request);
-  }
-  if (command == "explore") return cmd_explore(session, model, flags);
-  if (command == "pareto") return cmd_pareto(session, model, flags);
-  if (command == "compare") return cmd_compare(session, model, flags);
-  return usage();
+  return evaluate(session, {.payload = request}, flags);
 }
 
 // --- remote client mode ------------------------------------------------------
@@ -854,7 +867,7 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
 // eval commands encode their request into the wire envelope (the model is
 // named by target spec, `--opt` travels as target options, --priority/
 // --deadline-ms as the slot's scheduling options) and render the decoded
-// reply through the same print_* functions as the local commands — a remote
+// reply through the same print() overloads as the local commands — a remote
 // run's stdout is byte-identical to the local command against the same
 // store. Segments chained with --then share one connection, i.e. one
 // server-side session.
@@ -869,25 +882,6 @@ int run_cli(const std::string& command, const std::vector<std::string>& rest, Cl
 // failing segment stops the chain at the next synchronization point — later
 // eval segments already in flight still evaluate server-side, but their
 // replies print and the first failure's exit code wins.
-
-template <class... Fns>
-struct overloaded : Fns... {
-  using Fns::operator()...;
-};
-template <class... Fns>
-overloaded(Fns...) -> overloaded<Fns...>;
-
-int print_response(const api::AnyResponse& response, const std::vector<std::string>& flags) {
-  return std::visit(
-      overloaded{
-          [&](const api::SimulateResponse& r) { return print_simulate(r, flags); },
-          [&](const api::AnalyzeResponse& r) { return print_analyze(r); },
-          [&](const api::ExploreResponse& r) { return print_explore(r); },
-          [&](const api::ParetoResponse& r) { return print_pareto(r); },
-          [&](const api::CompareResponse& r) { return print_compare(r); },
-      },
-      response);
-}
 
 /// Sends one control frame and prints the info reply (or the error
 /// response's diagnostics).
@@ -926,18 +920,10 @@ int run_remote_control(std::istream& in, std::ostream& out, const std::string& c
     check_flags(rest, {}, {});
     return remote_control(in, out, command, {});
   }
-  if (command == "trace") {
-    // `trace [last|slowest|<id>]` — bare `trace` means last. Pass-through:
-    // the server owns selector semantics.
-    std::vector<std::string> args;
-    if (!rest.empty() && rest[0].rfind("--", 0) != 0) args.push_back(rest[0]);
-    const std::vector<std::string> flags(rest.begin() + args.size(), rest.end());
-    check_flags(flags, {}, {});
-    return remote_control(in, out, command, args);
-  }
-  if (command == "cache") {
-    // Persistent-cache admin: `cache [stats|persist|flush]` (bare `cache`
-    // means stats). The server owns the semantics; this is a pass-through.
+  if (command == "trace" || command == "cache") {
+    // `trace [last|slowest|<id>]` (bare `trace` means last) and the
+    // persistent-cache admin `cache [stats|persist|flush]` (bare `cache`
+    // means stats). Pass-through: the server owns the semantics.
     std::vector<std::string> args;
     if (!rest.empty() && rest[0].rfind("--", 0) != 0) args.push_back(rest[0]);
     const std::vector<std::string> flags(rest.begin() + args.size(), rest.end());
@@ -968,50 +954,14 @@ api::AnyRequest build_remote_envelope(const std::string& command,
   if (rest.empty() || rest[0].rfind("--", 0) == 0) {
     throw UsageError("expected a model (built-in name or .spit path) before options");
   }
-  const std::string spec = rest[0];
-  const std::vector<std::string> flags(rest.begin() + 1, rest.end());
-
-  api::AnyRequest envelope;
-  if (command == "simulate") {
-    check_flags(flags, {"--trace", "--timeline", "--upper"},
-                {"--random", "--opt", "--priority", "--deadline-ms"});
-    if (has_flag(flags, "--upper") && has_flag(flags, "--random")) {
-      throw UsageError("'--upper' and '--random' are mutually exclusive");
-    }
-    envelope.payload = build_simulate_request(flags);
-  } else if (command == "analyze") {
-    check_flags(flags, {"--reconf"}, {"--opt", "--priority", "--deadline-ms"});
-    api::AnalyzeRequest request;
-    request.include_reconfiguration = has_flag(flags, "--reconf");
-    envelope.payload = request;
-  } else if (command == "explore") {
-    check_flags(flags, {"--process", "--cluster"},
-                {"--engine", "--seed", "--opt", "--priority", "--deadline-ms"});
-    if (has_flag(flags, "--process") && has_flag(flags, "--cluster")) {
-      throw UsageError("'--process' and '--cluster' are mutually exclusive");
-    }
-    envelope.payload = build_explore_request(flags);
-  } else if (command == "pareto") {
-    check_flags(flags, {}, {"--samples", "--seed", "--opt", "--priority", "--deadline-ms"});
-    envelope.payload = build_pareto_request(flags);
-  } else if (command == "compare") {
-    check_flags(flags, {"--all-orders", "--process", "--cluster"},
-                {"--engine", "--seed", "--strategies", "--rank", "--opt", "--priority",
-                 "--deadline-ms"});
-    if (has_flag(flags, "--process") && has_flag(flags, "--cluster")) {
-      throw UsageError("'--process' and '--cluster' are mutually exclusive");
-    }
-    envelope.payload = build_compare_request(flags);
-  } else {
+  const EvalCommand* eval = find_eval_command(command);
+  if (eval == nullptr) {
     throw UsageError("unknown remote command '" + command +
                      "' (simulate|analyze|explore|pareto|compare|models|load|unload|"
                      "cache|cache-stats|executor-stats|metrics|trace|ping|shutdown)");
   }
-  envelope.target = spec;
-  envelope.target_options = flag_values(flags, "--opt");
-  envelope.options = parse_submit_options(flags);
-  flags_out = flags;
-  return envelope;
+  flags_out.assign(rest.begin() + 1, rest.end());
+  return build_envelope(*eval, rest[0], flags_out, Mode::kRemote);
 }
 
 /// One pipelined eval segment awaiting its v2 reply.
