@@ -11,7 +11,9 @@
 // queue still burns a worker and still misses its deadline, so the tail only
 // recovers when excess work is refused *before* submission. The controller
 // is deliberately cheap (one mutex, a handful of integers) — it sits on
-// every call/submit path.
+// every call/submit path. Session::submit answers result-cache hits on the
+// submitting thread without an executor task, so the projection sees
+// misses only; a shed still runs before the probe and refuses hits too.
 //
 //   api::AdmissionController control{{.max_miss_rate = 0.25}};
 //   const auto decision = control.admit(executor.stats());

@@ -14,10 +14,12 @@
 //   handle.slot(0).wait();             // first result, before the batch ends
 //   auto results = handle.wait();      // everything, in slot order
 //
-// Ordering contract per slot: the result is computed, on_slot fires on the
-// evaluating thread, then the slot's future becomes ready. Slot results are
-// bit-identical to the blocking call_batch (and therefore to serial
-// evaluation) regardless of executor or cancellation-free interleaving.
+// Ordering contract per slot: the result is computed, on_slot fires, then
+// the slot's future becomes ready. A result-cache hit lands on the
+// submitting thread before submit returns; every other slot lands on the
+// thread that evaluated it. Slot results are bit-identical to the blocking
+// call_batch (and therefore to serial evaluation) regardless of executor or
+// cancellation-free interleaving.
 #pragma once
 
 #include <atomic>
@@ -33,8 +35,12 @@
 
 namespace spivar::api {
 
-/// Streamed per-slot delivery: `on_slot(index, result)` runs on the thread
-/// that evaluated the slot, exactly once per slot, including cancelled ones.
+/// Streamed per-slot delivery: `on_slot(index, result)` runs exactly once per
+/// slot, including cancelled ones. A result-cache hit's callback runs on the
+/// submitting thread before Session::submit returns; any other slot's runs
+/// on the thread that evaluated it. So a callback must not wait for
+/// anything the submitter does after submit returns, and the submitter must
+/// not hold a lock across submit that the callback takes.
 template <typename Response>
 using SlotCallback = std::function<void(std::size_t, const Result<Response>&)>;
 

@@ -198,8 +198,9 @@ class ResultCache {
   };
 
   /// The cached result for `key`, or nullptr on a miss. `Response` must be
-  /// the response type of `key.kind` — callers go through detail::with_cache,
-  /// which derives both from the same request.
+  /// the response type of `key.kind` — callers go through
+  /// detail::probe_cache with a detail::cache_key, which derives both from
+  /// the same request.
   template <typename Response>
   [[nodiscard]] std::shared_ptr<const Result<Response>> find(const Key& key) {
     return std::static_pointer_cast<const Result<Response>>(lookup(key));

@@ -73,42 +73,59 @@ inline std::string empty_problem_message(const std::string& model_name) {
                                                    Executor& executor);
 
 // --- result-cache seam -------------------------------------------------------
+//
+// Every evaluation crosses the store's result cache in two halves that share
+// one key: probe_cache looks the request up (both tiers), and on a miss
+// eval_and_fill evaluates and memoizes under the same key without looking up
+// again — so each request counts exactly one lookup whether the halves run
+// on one thread (the typed endpoints, Session::call) or on two
+// (Session::submit probes on the submitting thread and fills in the
+// executor task). Hits are copies of the memoized Result, bit-identical to a
+// cold eval: results are deterministic per (snapshot, request).
 
-/// Fronts one eval with the store's result cache: a hit returns a copy of
-/// the memoized Result (bit-identical to a cold eval, results are
-/// deterministic per (snapshot, request)); a miss evaluates and memoizes,
-/// charging the entry its measured evaluation time — the weight the cache's
-/// cost-aware eviction protects. Null cache degrades to a plain eval. The
-/// key's kind and fingerprint both derive from `request`, so the typed find
-/// can never alias across response types.
-template <typename Response, typename Request, typename Eval>
-Result<Response> with_cache(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
-                            const Request& request, Eval&& eval) {
-  if (!cache) {
-    obs::ScopedSpan span{obs::SpanKind::kEval};
-    return eval(entry, request);
-  }
-  // The content fingerprint is the restart-stable half of the key: it routes
-  // the persistent tier and costs nothing here (memoized per entry, and the
-  // store already computed it to describe the model).
-  const ResultCache::Key key{.model = entry.id().value(),
-                             .generation = entry.generation(),
-                             .kind = kind_of(request),
-                             .fingerprint = fingerprint(request),
-                             .content = entry.content_fingerprint()};
-  {
-    obs::ScopedSpan probe{obs::SpanKind::kCacheProbe};
-    if (const auto hit = cache->find<Response>(key)) return *hit;
-  }
+/// The cache key of `request` against `entry`. Its kind and fingerprint both
+/// derive from `request`, so a typed find can never alias across response
+/// types. The content fingerprint is the restart-stable half of the key: it
+/// routes the persistent tier and costs nothing here (memoized per entry,
+/// and the store already computed it to describe the model).
+template <typename Request>
+ResultCache::Key cache_key(const StoreEntry& entry, const Request& request) {
+  return {.model = entry.id().value(),
+          .generation = entry.generation(),
+          .kind = kind_of(request),
+          .fingerprint = fingerprint(request),
+          .content = entry.content_fingerprint()};
+}
+
+/// The probe half: the memoized result under `key`, null on a miss. A null
+/// cache misses without recording anything; otherwise the lookup records a
+/// cache-probe span on the installed trace.
+template <typename Response>
+std::shared_ptr<const Result<Response>> probe_cache(const std::shared_ptr<ResultCache>& cache,
+                                                    const ResultCache::Key& key) {
+  if (!cache) return nullptr;
+  obs::ScopedSpan probe{obs::SpanKind::kCacheProbe};
+  return cache->find<Response>(key);
+}
+
+/// The evaluate-and-fill half: runs `eval()` under an eval span and, with a
+/// cache, memoizes its result under `key`, charging the entry its measured
+/// evaluation time — the weight the cache's cost-aware eviction protects.
+template <typename Eval>
+auto eval_and_fill(const std::shared_ptr<ResultCache>& cache, const ResultCache::Key& key,
+                   Eval&& eval) {
   const auto started = std::chrono::steady_clock::now();
-  Result<Response> result = eval(entry, request);
+  auto result = eval();
   const auto ended = std::chrono::steady_clock::now();
   if (obs::TraceContext* trace = obs::current_trace()) {
     // Reuse the cost clock readings: the eval span costs no extra clock reads.
     trace->add_span(obs::SpanKind::kEval, started, ended);
   }
-  const auto cost_us = std::chrono::duration_cast<std::chrono::microseconds>(ended - started).count();
-  cache->insert(key, result, static_cast<std::uint64_t>(cost_us));
+  if (cache) {
+    const auto cost_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(ended - started).count();
+    cache->insert(key, result, static_cast<std::uint64_t>(cost_us));
+  }
   return result;
 }
 

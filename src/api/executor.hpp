@@ -78,7 +78,8 @@ struct SubmitOptions {
 /// `completed`. Each Executor::stats() call returns one consistent
 /// snapshot: every completion it counts carries that task's miss and
 /// lateness, so `deadline_misses <= completed` and miss_rate() stays in
-/// [0, 1].
+/// [0, 1]. Result-cache hits answered inside Session::submit never become
+/// tasks, so they are not counted.
 struct ExecutorStats {
   std::uint64_t completed = 0;        ///< tasks run to completion
   std::uint64_t deadline_misses = 0;  ///< tasks finished past their deadline

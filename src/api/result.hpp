@@ -36,6 +36,8 @@ inline constexpr const char* kQuotaExceeded = "api-quota-exceeded";
 template <typename T>
 class [[nodiscard]] Result {
  public:
+  using value_type = T;
+
   /// Successful result; `notes` may carry non-fatal findings.
   static Result success(T value, support::DiagnosticList notes = {}) {
     Result r;

@@ -282,29 +282,51 @@ Result<std::string> Session::write_text(ModelId id) const {
 
 namespace {
 
-/// One typed request evaluated against a snapshot through the result-cache
-/// seam — the body behind every evaluation entry point: per-kind endpoint,
-/// envelope call, and every batch slot all converge here, which is what
-/// makes their results (and cache keys) identical. `executor` powers
-/// compare's nested strategy fan-out.
+/// The uncached evaluation of one typed request against a snapshot.
+/// `executor` powers compare's nested strategy fan-out.
 template <typename Request>
-auto evaluate(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
-              const Request& request, Executor& executor) {
+auto eval_uncached(const StoreEntry& entry, const Request& request, Executor& executor) {
   if constexpr (std::is_same_v<Request, CompareRequest>) {
-    return detail::with_cache<CompareResponse>(
-        cache, entry, request, [&executor](const StoreEntry& e, const CompareRequest& r) {
-          return detail::eval_compare(e, r, executor);
-        });
+    return detail::eval_compare(entry, request, executor);
   } else if constexpr (std::is_same_v<Request, SimulateRequest>) {
-    return detail::with_cache<SimulateResponse>(cache, entry, request, &eval_simulate);
+    return eval_simulate(entry, request);
   } else if constexpr (std::is_same_v<Request, AnalyzeRequest>) {
-    return detail::with_cache<AnalyzeResponse>(cache, entry, request, &eval_analyze);
+    return eval_analyze(entry, request);
   } else if constexpr (std::is_same_v<Request, ExploreRequest>) {
-    return detail::with_cache<ExploreResponse>(cache, entry, request, &eval_explore);
+    return eval_explore(entry, request);
   } else {
     static_assert(std::is_same_v<Request, ParetoRequest>);
-    return detail::with_cache<ParetoResponse>(cache, entry, request, &eval_pareto);
+    return eval_pareto(entry, request);
   }
+}
+
+/// The response type a request type evaluates to.
+template <typename Request>
+using ResponseOf = typename decltype(eval_uncached(std::declval<const StoreEntry&>(),
+                                                   std::declval<const Request&>(),
+                                                   std::declval<Executor&>()))::value_type;
+
+/// The miss half for one typed request: evaluate, then fill `key`.
+template <typename Request>
+Result<ResponseOf<Request>> fill(const std::shared_ptr<ResultCache>& cache,
+                                 const ResultCache::Key& key, const StoreEntry& entry,
+                                 const Request& request, Executor& executor) {
+  return detail::eval_and_fill(cache, key,
+                               [&] { return eval_uncached(entry, request, executor); });
+}
+
+/// One typed request through both halves of the result-cache seam on the
+/// calling thread — the body behind the per-kind endpoints and
+/// Session::call. Session::submit runs the same two halves split across
+/// threads, which is what makes every path's results (and cache keys)
+/// identical.
+template <typename Request>
+Result<ResponseOf<Request>> evaluate(const std::shared_ptr<ResultCache>& cache,
+                                     const StoreEntry& entry, const Request& request,
+                                     Executor& executor) {
+  const ResultCache::Key key = detail::cache_key(entry, request);
+  if (const auto hit = detail::probe_cache<ResponseOf<Request>>(cache, key)) return *hit;
+  return fill(cache, key, entry, request, executor);
 }
 
 template <typename Response, typename Request>
@@ -349,12 +371,34 @@ Result<AnyResponse> to_any(Result<Response> result) {
   return Result<AnyResponse>::success(AnyResponse{std::move(result).value()}, std::move(notes));
 }
 
-/// Evaluates one resolved payload against a captured snapshot — the body
-/// of every envelope slot. Raw executor pointer: see Session::submit.
-Result<AnyResponse> eval_any(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
+/// The two halves of the cache seam over an envelope payload, sharing one
+/// key. Session::call runs both on the calling thread; Session::submit
+/// probes on the submitting thread and fills in a miss's executor task.
+ResultCache::Key cache_key_any(const StoreEntry& entry, const RequestPayload& payload) {
+  return std::visit([&](const auto& request) { return detail::cache_key(entry, request); },
+                    payload);
+}
+
+std::optional<Result<AnyResponse>> probe_any(const std::shared_ptr<ResultCache>& cache,
+                                             const ResultCache::Key& key,
+                                             const RequestPayload& payload) {
+  return std::visit(
+      [&](const auto& request) -> std::optional<Result<AnyResponse>> {
+        using Request = std::decay_t<decltype(request)>;
+        if (const auto hit = detail::probe_cache<ResponseOf<Request>>(cache, key)) {
+          return to_any(*hit);
+        }
+        return std::nullopt;
+      },
+      payload);
+}
+
+/// Raw executor pointer: see Session::submit.
+Result<AnyResponse> fill_any(const std::shared_ptr<ResultCache>& cache,
+                             const ResultCache::Key& key, const StoreEntry& entry,
                              const RequestPayload& payload, Executor* executor) {
   return std::visit(
-      [&](const auto& request) { return to_any(evaluate(cache, entry, request, *executor)); },
+      [&](const auto& request) { return to_any(fill(cache, key, entry, request, *executor)); },
       payload);
 }
 
@@ -412,7 +456,10 @@ Result<AnyResponse> Session::call(const AnyRequest& request) const {
   // Inline calls evaluate on this thread, so the trace (if the envelope
   // carries one) installs here; no queue-wait span on this path.
   obs::TraceScope scope{request.trace.get()};
-  return eval_any(store_->cache(), *snapshot, payload, executor_.get());
+  const std::shared_ptr<ResultCache> cache = store_->cache();
+  const ResultCache::Key key = cache_key_any(*snapshot, payload);
+  if (auto hit = probe_any(cache, key, payload)) return std::move(*hit);
+  return fill_any(cache, key, *snapshot, payload, executor_.get());
 }
 
 // --- envelope batch surface --------------------------------------------------
@@ -481,6 +528,7 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
     // snapshot and the cache; cancelled slots never touch the cache.
     const Result<ModelId> target = resolve_target(request);
     ModelStore::Snapshot snapshot;
+    ResultCache::Key key;
     std::optional<support::DiagnosticList> failure;
     if (target.ok()) {
       set_model(request.payload, target.value());
@@ -488,11 +536,26 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
     } else {
       failure = target.diagnostics();
     }
+    if (snapshot) {
+      // The cache probe runs here, on the submitting thread: a hit lands at
+      // once and never waits in the executor queue behind misses. Its
+      // trace gets the cache-probe span and no queue-wait.
+      key = cache_key_any(*snapshot, request.payload);
+      std::optional<Result<AnyResponse>> hit;
+      {
+        obs::TraceScope scope{request.trace.get()};
+        hit = probe_any(cache, key, request.payload);
+      }
+      if (hit) {
+        state->deliver(i, std::move(*hit));
+        continue;
+      }
+    }
     // Queue-wait starts at submission; the task ends it as it starts, and
     // the evaluation seams record against the installed trace.
     if (request.trace) request.trace->mark_queued();
     options.push_back(request.options);
-    tasks.push_back([state, cache, executor, i, payload = std::move(request.payload),
+    tasks.push_back([state, cache, executor, i, key, payload = std::move(request.payload),
                      snapshot = std::move(snapshot), failure = std::move(failure),
                      trace = std::move(request.trace)] {
       if (trace) trace->end_queue_wait();
@@ -503,7 +566,9 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
         }
         if (failure) return Result<AnyResponse>::failure(*failure);
         if (!snapshot) return unknown_model<AnyResponse>(model_of(payload));
-        return eval_any(cache, *snapshot, payload, executor);
+        // A miss: the probe already ran at submission, so evaluate and fill
+        // without looking up again — one lookup per request.
+        return fill_any(cache, key, *snapshot, payload, executor);
       }();
       state->deliver(i, std::move(result));
     });

@@ -18,8 +18,9 @@
 //
 // Batches go through the AnyRequest envelope: call_batch blocks, submit
 // streams (a BatchHandle with per-slot futures, an on_slot callback, and
-// cancel()). Batch tasks capture store snapshots — never the session — so
-// sessions are movable even with batches in flight.
+// cancel()) and answers result-cache hits before it returns. Batch tasks
+// capture store snapshots — never the session — so sessions are movable
+// even with batches in flight.
 #pragma once
 
 #include <cstdint>
@@ -223,6 +224,15 @@ class Session {
   /// `participate`, a batch whose slots share one SubmitOptions runs with
   /// the calling thread helping (the call returns once it has landed);
   /// mixed options are submitted per options group either way.
+  ///
+  /// Each slot probes the result cache once, on the calling thread, before
+  /// it is queued: a hit lands (on_slot fires, its future is ready) before
+  /// submit returns and never becomes an executor task, so it never waits
+  /// behind queued misses. A miss becomes a task that evaluates and fills
+  /// the cache without probing again. With a persistent tier, the disk
+  /// probe behind a memory miss also runs on the calling thread. Hits are
+  /// therefore invisible to executor_stats() and to the admission
+  /// controller's miss-rate projection, which count executor tasks only.
   [[nodiscard]] BatchHandle<AnyResponse> submit(std::vector<AnyRequest> requests,
                                                 SlotCallback<AnyResponse> on_slot = {},
                                                 bool participate = false) const;

@@ -5,8 +5,10 @@
 // Session::call/submit onto the executor task that evaluates it. Span
 // timings are recorded at the seams the request actually crosses:
 //
-//   queue-wait    submission → the executor task starting (submit paths)
-//   cache-probe   the result-cache lookup, both tiers (detail::with_cache)
+//   queue-wait    submission → the executor task starting (submit misses)
+//   cache-probe   the result-cache lookup, both tiers (detail::probe_cache);
+//                 on the submitting thread for Session::submit, so a hit's
+//                 trace has no queue-wait span
 //   eval          the evaluation itself, cache misses only
 //   spill         a synchronous persistent-tier write on the request path
 //

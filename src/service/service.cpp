@@ -415,7 +415,13 @@ api::BatchHandle<api::AnyResponse> Service::evaluate(Stream& stream,
                                                       std::vector<api::AnyRequest> requests,
                                                       std::optional<std::uint64_t> frame_id,
                                                       bool live, Reply reply) {
-  std::shared_ptr<Tenant> tenant = stream.tenant;
+  // Raw: tenants live as long as the service, and the slot callback below
+  // touches the tenant only before its reply is handed on (a reader may
+  // return, and the service go, once every reply is out). A slot task that
+  // owned the tenant would own its Session and with it the executor, so a
+  // worker destroying the finished task after the service is gone would
+  // drop the pool's last reference and join itself.
+  Tenant* const tenant = stream.tenant.get();
   // The tenant cap covers live frames only: where the stream cap *blocks*
   // (backpressure to this client only), the tenant cap *rejects* — blocking
   // would let one capped tenant hold reader threads hostage while other
@@ -442,14 +448,15 @@ api::BatchHandle<api::AnyResponse> Service::evaluate(Stream& stream,
   }
   return stream.session->submit(
       std::move(requests),
-      [this, traces = std::move(traces), tenant = std::move(tenant), capped, frame_id,
+      [this, traces = std::move(traces), tenant, capped, frame_id,
        reply = std::move(reply)](std::size_t slot, const api::Result<api::AnyResponse>& result) {
-        // Trace completion before the reply streams: by the time the client
-        // reads the frame (or serve_stream returns), the record is in the
-        // ring and every counter reflects this request.
-        observe_done(traces[slot].first, traces[slot].second, tenant.get(), result.ok());
-        reply(slot, encode_reply(result, frame_id));
+        // Trace completion and the tenant token before the reply streams: by
+        // the time the client reads the frame (or serve_stream returns), the
+        // record is in the ring, every counter reflects this request and
+        // the tenant's slot is free again.
+        observe_done(traces[slot].first, traces[slot].second, tenant, result.ok());
         if (capped) tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
+        reply(slot, encode_reply(result, frame_id));
       },
       // A reader that would only block on the reply helps evaluate instead
       // of waiting for a worker to pick the slots up.

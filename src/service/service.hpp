@@ -37,6 +37,16 @@
 // frame (v1 is "v2 with ordered delivery"). Controls and hellos are
 // answered by the reader.
 //
+// Result-cache hits never enter the executor queue: Session::submit probes
+// the cache on the reader thread, and a hit's callback encodes and writes
+// its reply there before the reader takes the next frame — so a live v2
+// hit overtakes misses queued ahead of it, while v1 and ordered frames keep
+// arrival order because the reader already waited for every earlier reply.
+// A hit's trace carries a cache-probe span and no queue-wait. With a
+// persistent tier, the disk probe behind a memory miss also runs on the
+// reader thread. Hits do not count in executor-stats or in admission's
+// projected miss rate, which both see executor tasks only.
+//
 // Pipelining contract per connection: one writer mutex serializes whole
 // reply frames (no reordering buffer — a reply streams the moment its slot
 // lands), and at most `max_inflight` live v2 frames are evaluating at once;
@@ -166,6 +176,8 @@ class Service {
                            StreamMode mode = StreamMode::kPipelined);
 
   [[nodiscard]] api::Session& session() noexcept { return session_; }
+  /// The executor every tenant session shares.
+  [[nodiscard]] api::Executor& executor() noexcept { return *executor_; }
   [[nodiscard]] const std::shared_ptr<api::ModelStore>& store() const noexcept { return store_; }
 
   /// The Prometheus text exposition — what the `metrics` control and the
@@ -224,7 +236,8 @@ class Service {
     api::Session* session = nullptr;
   };
 
-  /// Takes each slot's encoded reply, on the thread that evaluated it.
+  /// Takes each slot's encoded reply, on the thread that evaluated it (the
+  /// reader, for a cache hit).
   using Reply = std::function<void(std::size_t slot, std::string frame)>;
 
   void record_frame(const std::string& frame);

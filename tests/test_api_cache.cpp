@@ -1,16 +1,20 @@
 // Result-cache correctness: hits bit-identical to cold evaluations per
-// builtin, exact hit/miss accounting, LRU eviction under a tiny capacity,
+// builtin, exact hit/miss accounting, Session::submit answering hits on the
+// submitting thread, LRU eviction under a tiny capacity,
 // invalidation on unload, and the generation contract (an unload/reload
 // pair can never serve a stale entry). Also covers the canonical request
 // fingerprints the keys are built from.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
 #include "envelope_helpers.hpp"
+#include "parked_pool.hpp"
 
 namespace spivar {
 namespace {
@@ -150,6 +154,115 @@ TEST(ResultCache, BatchesAreFrontedToo) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->misses, sweep.size());       // the cold sweep
   EXPECT_EQ(stats->hits, 2 * sweep.size());     // warm + streamed repeat
+}
+
+// --- the submit fast path: hits never reach the executor ---------------------
+
+/// A fig1 simulate with the given seed.
+api::SimulateRequest seeded(api::ModelId model, std::uint64_t seed) {
+  api::SimulateRequest request{.model = model};
+  request.options.resolution = sim::Resolution::kRandom;
+  request.options.seed = seed;
+  return request;
+}
+
+bool ready(const std::shared_future<api::Result<api::AnyResponse>>& slot) {
+  return slot.wait_for(std::chrono::seconds{0}) == std::future_status::ready;
+}
+
+TEST(CacheFastPath, HitLandsOnTheSubmittingThreadBeforeSubmitReturns) {
+  auto pool = api::make_executor(2);
+  Session session{pool};
+  session.enable_cache();
+  const auto loaded = session.load_builtin("fig1");
+  ASSERT_TRUE(loaded.ok());
+  const api::SimulateRequest request = seeded(loaded.value().id, 1);
+  ASSERT_TRUE(session.simulate(request).ok());  // fills the cache
+
+  ParkedPool parked{*pool};
+  std::thread::id landed_on;
+  const auto handle = session.submit(
+      envelopes({request}),
+      [&landed_on](std::size_t, const api::Result<api::AnyResponse>&) {
+        landed_on = std::this_thread::get_id();
+      });
+  // Both workers are parked, so only the submitting thread could have
+  // answered — and it did, before submit returned.
+  ASSERT_TRUE(ready(handle.slot(0)));
+  EXPECT_EQ(landed_on, std::this_thread::get_id());
+  EXPECT_TRUE(handle.done());
+  EXPECT_EQ(render_result(handle.slot(0).get()),
+            render_result(session.call(envelopes({request}).front())));
+}
+
+TEST(CacheFastPath, MixedBatchLandsEverySlotAtItsPositionWithOneLookupEach) {
+  auto pool = api::make_executor(2);
+  Session session{pool};
+  session.enable_cache();
+  const auto loaded = session.load_builtin("fig1");
+  ASSERT_TRUE(loaded.ok());
+  const api::ModelId model = loaded.value().id;
+  ASSERT_TRUE(session.simulate(seeded(model, 1)).ok());
+  ASSERT_TRUE(session.simulate(seeded(model, 3)).ok());
+  const auto before = session.cache_stats();
+  ASSERT_TRUE(before.has_value());
+
+  // Slots 0 and 2 hit, 1 and 3 miss.
+  const std::vector<api::SimulateRequest> batch = {seeded(model, 1), seeded(model, 2),
+                                                   seeded(model, 3), seeded(model, 4)};
+  api::BatchHandle<api::AnyResponse> handle;
+  {
+    ParkedPool parked{*pool};
+    handle = session.submit(envelopes(batch));
+    EXPECT_TRUE(ready(handle.slot(0)));
+    EXPECT_FALSE(ready(handle.slot(1)));
+    EXPECT_TRUE(ready(handle.slot(2)));
+    EXPECT_FALSE(ready(handle.slot(3)));
+    EXPECT_EQ(handle.landed(), 2u);
+  }
+  const auto results = handle.wait();
+
+  Session cold;  // no cache: the reference evaluation
+  const auto reference = cold.load_builtin("fig1");
+  ASSERT_TRUE(reference.ok());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(render_result(results[i]),
+              render_result(cold.simulate(seeded(reference.value().id, i + 1))))
+        << "slot " << i;
+  }
+  // One lookup per request: a miss counts at the probe and is not looked up
+  // again by the task that evaluates it.
+  const auto after = session.cache_stats();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->hits - before->hits, 2u);
+  EXPECT_EQ(after->misses - before->misses, 2u);
+  EXPECT_EQ(after->entries, 4u);
+}
+
+TEST(CacheFastPath, CancelAfterSubmitStillCancelsTheQueuedMisses) {
+  auto pool = api::make_executor(2);
+  Session session{pool};
+  session.enable_cache();
+  const auto loaded = session.load_builtin("fig1");
+  ASSERT_TRUE(loaded.ok());
+  const api::ModelId model = loaded.value().id;
+  ASSERT_TRUE(session.simulate(seeded(model, 1)).ok());
+
+  api::BatchHandle<api::AnyResponse> handle;
+  {
+    ParkedPool parked{*pool};
+    handle = session.submit(envelopes({seeded(model, 2), seeded(model, 1), seeded(model, 3)}));
+    handle.cancel();
+  }
+  const auto results = handle.wait();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[1].ok());  // the hit landed before cancel()
+  for (const std::size_t miss : {0u, 2u}) {
+    ASSERT_FALSE(results[miss].ok()) << miss;
+    EXPECT_TRUE(results[miss].diagnostics().has_code(api::diag::kCancelled)) << miss;
+  }
+  // Cancelled misses never evaluate, so nothing was inserted for them.
+  EXPECT_EQ(session.cache_stats()->entries, 1u);
 }
 
 // --- invalidation and the generation contract --------------------------------
@@ -296,7 +409,7 @@ TEST(ResultCache, HitsAccumulateSavedCost) {
 }
 
 TEST(ResultCache, EvalPathsChargeMeasuredCost) {
-  // End to end: entries inserted through with_cache carry their measured
+  // End to end: entries inserted through eval_and_fill carry their measured
   // eval time, so a real sweep accumulates nonzero cached cost and repeat
   // hits accumulate saved cost. (Exact values are wall-clock dependent;
   // only the accounting invariants are asserted.)

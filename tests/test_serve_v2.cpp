@@ -1,9 +1,10 @@
 // The pipelined service loop (service::Service): out-of-order v2 completion
 // (a slow compare ahead of K fast simulates must not delay their replies),
-// per-connection backpressure at --max-inflight, strict v1 compatibility on
-// the same server, malformed v2 frames answered without killing the stream,
-// and --record/--replay fidelity for pipelined traffic (ids preserved,
-// replay deterministic and byte-identical).
+// per-connection backpressure at --max-inflight, cache hits answered by the
+// reader ahead of queued misses, strict v1 compatibility on the same server,
+// malformed v2 frames answered without killing the stream, and
+// --record/--replay fidelity for pipelined traffic (ids preserved, replay
+// deterministic and byte-identical).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,11 +16,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/api.hpp"
 #include "api/wire.hpp"
+#include "parked_pool.hpp"
 #include "service/service.hpp"
 
 namespace spivar {
@@ -144,6 +147,86 @@ TEST(PipelinedServe, BackpressureEngagesAtMaxInflight) {
   for (std::uint64_t i = 0; i < replies.size(); ++i) {
     EXPECT_EQ(replies[i].first, i + 1) << "reply " << i << " out of order";
   }
+}
+
+// --- cache hits skip the executor queue --------------------------------------
+
+TEST(PipelinedServe, CacheHitRepliesAheadOfQueuedMisses) {
+  service::Service svc{{.jobs = 2, .cache = 64}};
+  {
+    std::istringstream warm{api::wire::encode(simulate_envelope("fig1", 1))};
+    std::ostringstream ignored;
+    svc.serve_stream(warm, ignored);
+  }
+  ASSERT_EQ(svc.tracer().minted(), 1u);
+
+  // Frames 1 and 2 miss and queue behind the parked workers; frame 3 hits
+  // the warmed key. The gate opens only once the reader has minted frame
+  // 3's trace, so both misses were submitted before any worker could run
+  // them: the hit's reply can lead only if the reader answered it itself.
+  std::string input;
+  input += api::wire::encode(simulate_envelope("fig1", 2), 1);
+  input += api::wire::encode(simulate_envelope("fig1", 3), 2);
+  input += api::wire::encode(simulate_envelope("fig1", 1), 3);
+  std::istringstream in{input};
+  std::ostringstream out;
+  {
+    ParkedPool parked{svc.executor()};
+    std::thread reader{[&] { svc.serve_stream(in, out); }};
+    while (svc.tracer().minted() < 4) std::this_thread::yield();
+    parked.release();
+    reader.join();
+  }
+  const auto replies = parse_replies(out.str());
+  ASSERT_EQ(replies.size(), 3u) << out.str();
+  EXPECT_EQ(replies[0].first, 3u) << "the hit did not reply first";
+  for (const auto& [id, frame] : replies) {
+    EXPECT_TRUE(api::wire::decode_response(frame).ok()) << frame;
+  }
+
+  // The hit's trace (id 4: the warm-up was 1) was probed on the reader and
+  // never queued; a miss's trace waited in the queue.
+  std::istringstream control_in{api::wire::control_frame("trace", {"4"}) +
+                                api::wire::control_frame("trace", {"2"})};
+  std::ostringstream control_out;
+  svc.serve_stream(control_in, control_out);
+  std::istringstream infos{control_out.str()};
+  const auto hit = api::wire::read_frame(infos);
+  const auto miss = api::wire::read_frame(infos);
+  ASSERT_TRUE(hit && miss) << control_out.str();
+  const std::string hit_trace = api::wire::decode_info(*hit).value();
+  const std::string miss_trace = api::wire::decode_info(*miss).value();
+  EXPECT_NE(hit_trace.find("span cache-probe"), std::string::npos) << hit_trace;
+  EXPECT_EQ(hit_trace.find("span queue-wait"), std::string::npos) << hit_trace;
+  EXPECT_EQ(hit_trace.find("span eval"), std::string::npos) << hit_trace;
+  EXPECT_NE(miss_trace.find("span queue-wait"), std::string::npos) << miss_trace;
+  EXPECT_NE(miss_trace.find("span eval"), std::string::npos) << miss_trace;
+
+  const auto stats = svc.session().cache_stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->hits, 1u);
+  EXPECT_EQ(stats->misses, 3u);
+}
+
+TEST(PipelinedServe, V1HitAfterAV1MissStillRepliesInArrivalOrder) {
+  // The reader waits for each v1 reply, so a hit can never overtake the
+  // miss ahead of it: the reply stream matches a cacheless server's.
+  const std::string input = api::wire::encode(simulate_envelope("fig1", 1)) +
+                            api::wire::encode(simulate_envelope("fig1", 2)) +
+                            api::wire::encode(simulate_envelope("fig1", 1));
+  const auto serve = [&input](service::Service& svc) {
+    std::istringstream in{input};
+    std::ostringstream out;
+    svc.serve_stream(in, out);
+    return out.str();
+  };
+  service::Service cached{{.jobs = 2, .cache = 64}};
+  service::Service cacheless{{.jobs = 2}};
+  EXPECT_EQ(serve(cached), serve(cacheless));
+  const auto stats = cached.session().cache_stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->hits, 1u);
+  EXPECT_EQ(stats->misses, 2u);
 }
 
 // --- v1 compatibility --------------------------------------------------------
