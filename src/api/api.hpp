@@ -30,10 +30,10 @@
 //     carries the model's canonical content fingerprint.
 //   * Session::call / call_batch / submit (session.hpp) — one uniform
 //     entry point, one heterogeneous blocking batch, one heterogeneous
-//     streaming batch (BatchHandle<AnyResponse>). Dispatch runs through the
-//     same snapshot + result-cache seam as the per-kind endpoints, so an
-//     envelope slot is bit-identical to its dedicated endpoint and shares
-//     its cache entries; slots grouped by identical SubmitOptions become
+//     streaming batch (BatchHandle<AnyResponse>). The per-kind endpoints
+//     are call() on a one-kind envelope, so an envelope slot is
+//     bit-identical to its dedicated endpoint and shares its cache
+//     entries; slots grouped by identical SubmitOptions become
 //     one executor submission each, so priority bands and EDF deadlines
 //     hold per slot.
 //   * wire (wire.hpp) — versioned line-oriented codec for the envelope:

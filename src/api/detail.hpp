@@ -78,7 +78,7 @@ inline std::string empty_problem_message(const std::string& model_name) {
 // one key: probe_cache looks the request up (both tiers), and on a miss
 // eval_and_fill evaluates and memoizes under the same key without looking up
 // again — so each request counts exactly one lookup whether the halves run
-// on one thread (the typed endpoints, Session::call) or on two
+// on one thread (Session::call, behind every typed endpoint) or on two
 // (Session::submit probes on the submitting thread and fills in the
 // executor task). Hits are copies of the memoized Result, bit-identical to a
 // cold eval: results are deterministic per (snapshot, request).

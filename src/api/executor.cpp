@@ -76,17 +76,30 @@ void ThreadPoolExecutor::enqueue(std::shared_ptr<TaskBatch> batch) {
   {
     std::lock_guard lock{mutex_};
     batch->seq = next_seq_++;
-    queue_.insert(std::move(batch));
+    TaskBatch& queued = *batch;
+    queued.slot = queue_.insert(std::move(batch));
     refresh_top_band();
   }
   work_cv_.notify_all();
 }
 
+std::optional<std::size_t> ThreadPoolExecutor::claim(TaskBatch& batch) {
+  const std::size_t index = batch.cursor.fetch_add(1, std::memory_order_relaxed);
+  if (index >= batch.tasks.size()) return std::nullopt;
+  if (index + 1 == batch.tasks.size()) {
+    // The last task is claimed: nothing is left for another thread, so
+    // retire the batch now. queue_ thus holds only batches with unclaimed
+    // work. mutex_ is never held together with batch.mutex.
+    std::lock_guard lock{mutex_};
+    queue_.erase(batch.slot);
+    refresh_top_band();
+  }
+  return index;
+}
+
 void ThreadPoolExecutor::help(TaskBatch& batch) {
-  for (;;) {
-    const std::size_t index = batch.cursor.fetch_add(1, std::memory_order_relaxed);
-    if (index >= batch.tasks.size()) return;
-    batch.tasks[index]();
+  while (const auto index = claim(batch)) {
+    batch.tasks[*index]();
     if (batch.stats) batch.stats->record(batch.deadline);
     finish_one(batch);
   }
@@ -104,9 +117,9 @@ void ThreadPoolExecutor::help_until_preempted(TaskBatch& batch) {
     if (top_queued_band_.load(std::memory_order_relaxed) > batch.band) {
       return;
     }
-    const std::size_t index = batch.cursor.fetch_add(1, std::memory_order_relaxed);
-    if (index >= batch.tasks.size()) return;
-    batch.tasks[index]();
+    const auto index = claim(batch);
+    if (!index) return;
+    batch.tasks[*index]();
     if (batch.stats) batch.stats->record(batch.deadline);
     finish_one(batch);
   }
@@ -131,16 +144,9 @@ void ThreadPoolExecutor::worker_loop() {
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop requested and nothing left to drain
       // Best batch under the scheduling order: band, then EDF, then FIFO.
-      // The batch stays queued while unclaimed tasks remain, so several
+      // The batch stays queued until its last task is claimed, so several
       // workers gang up on it.
       batch = *queue_.begin();
-      if (batch->cursor.load(std::memory_order_relaxed) >= batch->tasks.size()) {
-        // Fully claimed (running tasks may still be finishing elsewhere);
-        // retire it from the queue and look for the next batch.
-        queue_.erase(queue_.begin());
-        refresh_top_band();
-        continue;
-      }
     }
     // Claim tasks outside the queue lock — the self-scheduling hot loop is
     // one fetch_add per task (plus one relaxed preemption-hint load).
@@ -170,6 +176,11 @@ void ThreadPoolExecutor::submit(std::vector<std::function<void()>> tasks, Submit
   auto batch = std::make_shared<TaskBatch>(std::move(tasks), options, tls_worker_pool == this);
   batch->stats = &recorder_;
   enqueue(std::move(batch));
+}
+
+std::size_t ThreadPoolExecutor::queued_batches() const {
+  std::lock_guard lock{mutex_};
+  return queue_.size();
 }
 
 std::string ThreadPoolExecutor::name() const {

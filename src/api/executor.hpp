@@ -200,7 +200,23 @@ class ThreadPoolExecutor final : public Executor {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] ExecutorStats stats() const noexcept override { return recorder_.snapshot(); }
 
+  /// Batches still holding unclaimed tasks — the queue's length. A batch
+  /// leaves the queue when its last task is claimed, so this never counts
+  /// finished work.
+  [[nodiscard]] std::size_t queued_batches() const;
+
  private:
+  struct TaskBatch;
+
+  /// Strict weak order: higher band first (priority, top-level over nested
+  /// within it), then earliest deadline (none sorts last), then submission
+  /// order — the queue's multiset comparator.
+  struct BatchOrder {
+    bool operator()(const std::shared_ptr<TaskBatch>& a,
+                    const std::shared_ptr<TaskBatch>& b) const noexcept;
+  };
+  using Queue = std::multiset<std::shared_ptr<TaskBatch>, BatchOrder>;
+
   /// One enqueued batch. Threads claim task indexes through `cursor`
   /// (fetch_add) — the self-scheduling loop — and the last finisher
   /// signals `done`. Scheduling rank (band, deadline, seq) is fixed at
@@ -235,21 +251,19 @@ class ThreadPoolExecutor final : public Executor {
     /// Owning executor's telemetry sink; every finished task records its
     /// completion (and lateness against `deadline`) here.
     detail::ExecutorStatsRecorder* stats = nullptr;
-  };
-
-  /// Strict weak order: higher band first (priority, top-level over nested
-  /// within it), then earliest deadline (none sorts last), then submission
-  /// order — the queue's multiset comparator.
-  struct BatchOrder {
-    bool operator()(const std::shared_ptr<TaskBatch>& a,
-                    const std::shared_ptr<TaskBatch>& b) const noexcept;
+    /// Position in queue_, set at enqueue; erased when the last task is
+    /// claimed.
+    Queue::iterator slot;
   };
 
   /// Assigns the FIFO tie-break sequence under the queue lock and inserts.
   void enqueue(std::shared_ptr<TaskBatch> batch);
+  /// Claims the next task index of `batch`; nullopt once none is left. The
+  /// thread that claims the last task retires the batch from queue_.
+  std::optional<std::size_t> claim(TaskBatch& batch);
   /// Claims and runs tasks from `batch` until its cursor is exhausted.
   /// run()'s caller uses this: it must drive its own batch to completion.
-  static void help(TaskBatch& batch);
+  void help(TaskBatch& batch);
   /// Worker variant of help(): additionally yields between tasks when a
   /// strictly higher-band batch arrives in the queue, so a high-priority
   /// submission — or a top-level request behind a nested fan-out — overtakes
@@ -263,10 +277,10 @@ class ThreadPoolExecutor final : public Executor {
   void refresh_top_band();
 
   std::vector<std::thread> threads_;
-  std::mutex mutex_;                 ///< guards queue_, stop_ and next_seq_
+  mutable std::mutex mutex_;         ///< guards queue_, stop_ and next_seq_
   std::condition_variable work_cv_;  ///< signals queued work / shutdown
-  /// Best batch first; fully claimed batches are lazily retired by workers.
-  std::multiset<std::shared_ptr<TaskBatch>, BatchOrder> queue_;
+  /// Best batch first; only batches with unclaimed tasks.
+  Queue queue_;
   /// Band of the queue's best batch (-1 when empty) — the relaxed hint
   /// workers poll between tasks to detect band preemption without a lock.
   std::atomic<int> top_queued_band_{-1};

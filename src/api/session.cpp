@@ -315,47 +315,35 @@ Result<ResponseOf<Request>> fill(const std::shared_ptr<ResultCache>& cache,
                                [&] { return eval_uncached(entry, request, executor); });
 }
 
-/// One typed request through both halves of the result-cache seam on the
-/// calling thread — the body behind the per-kind endpoints and
-/// Session::call. Session::submit runs the same two halves split across
-/// threads, which is what makes every path's results (and cache keys)
-/// identical.
-template <typename Request>
-Result<ResponseOf<Request>> evaluate(const std::shared_ptr<ResultCache>& cache,
-                                     const StoreEntry& entry, const Request& request,
-                                     Executor& executor) {
-  const ResultCache::Key key = detail::cache_key(entry, request);
-  if (const auto hit = detail::probe_cache<ResponseOf<Request>>(cache, key)) return *hit;
-  return fill(cache, key, entry, request, executor);
-}
-
-template <typename Response, typename Request>
-Result<Response> call_one(const ModelStore& store, const Request& request, Executor& executor) {
-  const ModelStore::Snapshot snapshot = store.find(request.model);
-  if (!snapshot) return unknown_model<Response>(request.model);
-  return evaluate(store.cache(), *snapshot, request, executor);
+/// A typed endpoint's reply: the envelope reply unwrapped to its one kind.
+template <typename Response>
+Result<Response> unwrap(Result<AnyResponse> result) {
+  if (!result.ok()) return Result<Response>::failure(result.diagnostics());
+  support::DiagnosticList notes = result.diagnostics();
+  return Result<Response>::success(std::get<Response>(std::move(result).value()),
+                                   std::move(notes));
 }
 
 }  // namespace
 
 Result<AnalyzeResponse> Session::analyze(const AnalyzeRequest& request) const {
-  return call_one<AnalyzeResponse>(*store_, request, *executor_);
+  return unwrap<AnalyzeResponse>(call({.payload = request}));
 }
 
 Result<SimulateResponse> Session::simulate(const SimulateRequest& request) const {
-  return call_one<SimulateResponse>(*store_, request, *executor_);
+  return unwrap<SimulateResponse>(call({.payload = request}));
 }
 
 Result<ExploreResponse> Session::explore(const ExploreRequest& request) const {
-  return call_one<ExploreResponse>(*store_, request, *executor_);
+  return unwrap<ExploreResponse>(call({.payload = request}));
 }
 
 Result<ParetoResponse> Session::pareto(const ParetoRequest& request) const {
-  return call_one<ParetoResponse>(*store_, request, *executor_);
+  return unwrap<ParetoResponse>(call({.payload = request}));
 }
 
 Result<CompareResponse> Session::compare(const CompareRequest& request) const {
-  return call_one<CompareResponse>(*store_, request, *executor_);
+  return unwrap<CompareResponse>(call({.payload = request}));
 }
 
 // --- the unified envelope (v5) ----------------------------------------------

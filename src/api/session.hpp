@@ -196,11 +196,9 @@ class Session {
   // One entry point for every evaluation kind: the AnyRequest envelope
   // carries the payload variant, an optional target spec (resolved through
   // a tombstone-aware per-session target cache — wire clients never hold
-  // handles), and per-slot SubmitOptions. Dispatch runs through the same
-  // snapshot + result-cache seam as the per-kind methods above, so an
-  // envelope call and its dedicated endpoint produce bit-identical results
-  // and share cache entries. The per-kind methods are thin wrappers over
-  // the same internals and remain the convenient typed surface.
+  // handles), and per-slot SubmitOptions. The per-kind methods above are
+  // call() on a one-kind envelope, unwrapped: the same tenant check, shed
+  // gate, result-cache seam and bytes, behind the convenient typed surface.
 
   /// Evaluates one envelope (target resolved first when set).
   [[nodiscard]] Result<AnyResponse> call(const AnyRequest& request) const;

@@ -2,12 +2,11 @@
 // values are binned by [power-of-two magnitude][6-bit mantissa], giving a
 // constant-size table whose relative quantile error is bounded by the
 // mantissa resolution (< 1/64, ~1.6%) at every scale from 1 µs to ~2^69.
-// record() is two shifts and an increment — cheap enough to sit on a load
-// generator's per-request path — and histograms merge by addition, so each
-// connection thread records into its own and the reporter sums them.
+// obs::Histogram records into the same buckets as atomics and rehydrates a
+// LatencyHistogram for quantile math at each scrape.
 //
-// No dependencies, header-only, and deliberately not thread-safe: one
-// writer per instance, merge after the writers join.
+// No dependencies, header-only, and not thread-safe: a plain value that
+// one thread fills and reads.
 #pragma once
 
 #include <algorithm>
@@ -23,22 +22,6 @@ class LatencyHistogram {
   static constexpr int kMantissaBits = 6;
   static constexpr std::size_t kBuckets = 64;  ///< magnitude rows
   static constexpr std::size_t kSlots = kBuckets << kMantissaBits;
-
-  /// Records one value (any unit; callers here use microseconds).
-  void record(std::uint64_t value) noexcept {
-    ++counts_[index_of(value)];
-    ++total_;
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-
-  /// Adds another histogram's counts into this one.
-  void merge(const LatencyHistogram& other) noexcept {
-    for (std::size_t i = 0; i < kSlots; ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t min() const noexcept { return total_ ? min_ : 0; }

@@ -81,6 +81,26 @@ TEST(Executor, NestedRunFromWorkerTasksMakesProgress) {
   EXPECT_EQ(inner.load(), 32);
 }
 
+TEST(Executor, FinishedNestedBatchesLeaveTheQueueWhileTopLevelWorkWaits) {
+  // The only worker runs the first task of a two-task top-level batch; the
+  // second task stays unclaimed, so that batch stays queued throughout.
+  // Each nested run() below it claims its only task at once, so each nested
+  // batch must leave the queue then — not pile up behind the top-level one.
+  api::ThreadPoolExecutor executor{1};
+  std::promise<std::size_t> queued;
+  std::promise<void> second_ran;
+  std::vector<std::function<void()>> top_level;
+  top_level.push_back([&executor, &queued] {
+    for (int i = 0; i < 1000; ++i) executor.run({[] {}});
+    queued.set_value(executor.queued_batches());
+  });
+  top_level.push_back([&second_ran] { second_ran.set_value(); });
+  executor.submit(std::move(top_level));
+  EXPECT_EQ(queued.get_future().get(), 1u);
+  second_ran.get_future().wait();
+  EXPECT_EQ(executor.queued_batches(), 0u);
+}
+
 TEST(Executor, SubmitIsFireAndForgetAndDrainsBeforeDestruction) {
   std::atomic<int> count{0};
   {

@@ -1,10 +1,12 @@
-// LatencyHistogram: exact recording below 64, bounded relative error above
-// (the log-bucket mantissa guarantee the loadgen percentiles rest on),
-// exact min/max, and merge-by-addition across per-connection histograms.
+// LatencyHistogram, the quantile math behind obs::Histogram and so behind
+// every `metrics` scrape: values recorded through obs::Histogram and read
+// from its snapshot are exact below 64, have bounded relative error above
+// (the log-bucket mantissa guarantee), and keep the exact min/max.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "obs/metrics.hpp"
 #include "support/latency_histogram.hpp"
 
 namespace spivar {
@@ -22,8 +24,9 @@ TEST(LatencyHistogram, EmptyReportsZeros) {
 }
 
 TEST(LatencyHistogram, SmallValuesAreExact) {
-  LatencyHistogram histogram;
-  for (std::uint64_t v = 0; v < 64; ++v) histogram.record(v);
+  obs::Histogram recorded;
+  for (std::uint64_t v = 0; v < 64; ++v) recorded.record(v);
+  const LatencyHistogram histogram = recorded.snapshot();
   EXPECT_EQ(histogram.count(), 64u);
   EXPECT_EQ(histogram.min(), 0u);
   EXPECT_EQ(histogram.max(), 63u);
@@ -34,8 +37,9 @@ TEST(LatencyHistogram, SmallValuesAreExact) {
 }
 
 TEST(LatencyHistogram, QuantileRelativeErrorIsBounded) {
-  LatencyHistogram histogram;
-  for (std::uint64_t v = 1; v <= 100'000; ++v) histogram.record(v);
+  obs::Histogram recorded;
+  for (std::uint64_t v = 1; v <= 100'000; ++v) recorded.record(v);
+  const LatencyHistogram histogram = recorded.snapshot();
   // 6 mantissa bits bound the relative bucket width by 1/64 (~1.6%); allow
   // 2% for the rank rounding on top.
   const auto expect_near = [&](double q, double expected) {
@@ -52,30 +56,14 @@ TEST(LatencyHistogram, QuantileRelativeErrorIsBounded) {
 }
 
 TEST(LatencyHistogram, ExtremesClampToObservedMinMax) {
-  LatencyHistogram histogram;
-  histogram.record(1'000'000);
-  histogram.record(3);
+  obs::Histogram recorded;
+  recorded.record(1'000'000);
+  recorded.record(3);
+  const LatencyHistogram histogram = recorded.snapshot();
   // One sample per extreme: p0/p100 must be the recorded values, not the
   // bucket bounds they landed in.
   EXPECT_EQ(histogram.quantile(0.0), 3u);
   EXPECT_EQ(histogram.quantile(1.0), 1'000'000u);
-}
-
-TEST(LatencyHistogram, MergeAddsCountsAndWidensExtremes) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  for (std::uint64_t v = 0; v < 100; ++v) a.record(10);
-  for (std::uint64_t v = 0; v < 100; ++v) b.record(1'000);
-  b.record(7);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 201u);
-  EXPECT_EQ(a.min(), 7u);
-  EXPECT_GE(a.max(), 1'000u);
-  // Half the mass at 10, half near 1000: the median sits in the low half
-  // and p90 in the high half.
-  EXPECT_EQ(a.quantile(0.25), 10u);
-  const auto p90 = static_cast<double>(a.quantile(0.90));
-  EXPECT_NEAR(p90, 1'000.0, 1'000.0 * 0.02);
 }
 
 }  // namespace

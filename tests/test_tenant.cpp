@@ -132,6 +132,27 @@ TEST(TenantViews, ModelQuotaBoundsLiveModelsAndFreesOnUnload) {
   EXPECT_TRUE(alpha->load_builtin("fig2").ok());
 }
 
+TEST(TenantViews, TypedEndpointsRefuseAnotherTenantsModel) {
+  auto store = std::make_shared<ModelStore>();
+  api::Session alpha{store};
+  alpha.bind_tenant(view_of(store, "alpha", 1));
+  api::Session beta{store};
+  beta.bind_tenant(view_of(store, "beta", 2));
+
+  const auto model = alpha.load_builtin("fig2");
+  ASSERT_TRUE(model.ok());
+  const api::ModelId id = model.value().id;
+  EXPECT_TRUE(alpha.simulate({.model = id}).ok());
+
+  // The typed surface checks ownership like the envelope: a foreign id
+  // fails as an unknown model for every kind.
+  EXPECT_TRUE(beta.simulate({.model = id}).diagnostics().has_code(api::diag::kUnknownModel));
+  EXPECT_TRUE(beta.analyze({.model = id}).diagnostics().has_code(api::diag::kUnknownModel));
+  EXPECT_TRUE(beta.explore({.model = id}).diagnostics().has_code(api::diag::kUnknownModel));
+  EXPECT_TRUE(beta.pareto({.model = id}).diagnostics().has_code(api::diag::kUnknownModel));
+  EXPECT_TRUE(beta.compare({.model = id}).diagnostics().has_code(api::diag::kUnknownModel));
+}
+
 // --- result cache: per-tenant accounting and caps ----------------------------
 
 TEST(TenantCache, NoCrossTenantHitsAndPerTenantStats) {
